@@ -41,6 +41,7 @@ __all__ = [
     "brute_force_min_work",
     "first_best_makespan_exact",
     "first_best_makespan_greedy",
+    "greedy_makespans",
     "schedule_objective",
 ]
 
@@ -138,7 +139,13 @@ def schedule_objective(schedule: Schedule, rc: RangeConstraint | None) -> float:
 
 
 def _available(m: int, rc: RangeConstraint) -> np.ndarray:
-    avail = np.setdiff1d(np.arange(m), np.fromiter(rc.excluded, dtype=int, count=len(rc.excluded)))
+    if rc.excluded:
+        keep = np.ones(m, dtype=bool)
+        # Indices outside 0..m-1 name no machine and are ignored.
+        keep[[i for i in map(int, rc.excluded) if 0 <= i < m]] = False
+        avail = np.flatnonzero(keep)
+    else:
+        avail = np.arange(m)
     if avail.size == 0 and rc.reserve is None:
         # With a reserve the dummy machine can absorb everything, so an
         # empty real-machine set stays feasible.
@@ -285,11 +292,26 @@ def first_best_makespan_greedy(inst: Instance) -> float:
     Jobs are placed in decreasing order of their best runtime, each on the
     machine that minimizes the resulting work.
     """
-    runtimes = inst.runtimes
-    best = runtimes.min(axis=1)
-    order = sorted(range(inst.n), key=lambda j: (-best[j], j))
-    works = np.zeros(inst.m)
-    for j in order:
-        i = int(np.argmin(works + runtimes[j]))
-        works[i] += runtimes[j, i]
-    return float(works.max())
+    return float(greedy_makespans(inst.runtimes[None])[0])
+
+
+def greedy_makespans(runtimes: np.ndarray) -> np.ndarray:
+    """:func:`first_best_makespan_greedy` for a ``(B, n, m)`` stack of
+    runtime matrices, one numpy step per job position across all B.
+
+    Each matrix gets the same placements, in the same order and with the
+    same float arithmetic, as the one-instance greedy: jobs by decreasing
+    best runtime, ties to the lower job index; each on the first machine
+    minimizing ``works + runtime``.
+    """
+    blocks, n, m = runtimes.shape
+    order = np.argsort(-runtimes.min(axis=2), axis=1, kind="stable")
+    rows = np.arange(blocks)
+    works = np.zeros((blocks, m))
+    resulting = np.empty((blocks, m))
+    for position in range(n):
+        np.add(works, runtimes[rows, order[:, position]], out=resulting)
+        machine = resulting.argmin(axis=1)
+        # the same sum that ``works[machine] += runtime`` would store
+        works[rows, machine] = resulting[rows, machine]
+    return works.max(axis=1)

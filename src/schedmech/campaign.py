@@ -5,7 +5,14 @@ mechanism on each (payments skipped; they do not affect the schedule), and
 aggregates makespans together with an optional ratio against a first-best
 reference bound.  Determinism is absolute: every trial derives its own seed
 from ``(master_seed, stream, trial_index)``, so results are byte-identical
-for a given configuration regardless of the thread count.
+for a given configuration.
+
+Trials run serially in fixed blocks of about ``_BLOCK_CELLS`` runtime
+entries.  Each trial samples its instance and runs the mechanism on it
+alone; its runtimes are then copied into the block's ``(B, n, m)`` buffer,
+and the greedy first-best column is computed for the whole block at once
+by :func:`schedmech.assignment.greedy_makespans`.  The block size changes
+no number in a report.  ``threads`` is accepted but has no effect.
 
 Report layout (CSV): `#`-prefixed header lines carry the configuration
 echo, a version string and the aggregate statistics; then one row per trial
@@ -16,17 +23,19 @@ not apply).  The JSON format mirrors the same fields.
 
 from __future__ import annotations
 
+import functools
 import importlib.metadata
 import json
 import math
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .assignment import UNSCHEDULED, first_best_makespan_greedy
+# first_best_makespan_greedy is no longer called here; the name stays
+# importable from this module because perfbench's tracer tests look it up.
+from .assignment import UNSCHEDULED, first_best_makespan_greedy, greedy_makespans  # noqa: F401
 from .distributions import DistributionSpec
 from .instances import Instance, sample_instance
 from .mechanisms import (
@@ -70,6 +79,11 @@ _REFERENCE_STREAM = 1
 # Structural slack when asserting makespan >= the largest scheduled runtime.
 _INVARIANT_TOL = 1e-9
 
+# Runtime entries per trial block: 2**17 float64 values, 1 MiB.  A larger
+# block spreads the greedy's per-job-position numpy calls over more trials,
+# but its buffer adds to peak memory.
+_BLOCK_CELLS = 2**17
+
 
 class InvariantViolation(AssertionError):
     """A per-trial structural invariant failed (load cap, makespan floor)."""
@@ -85,7 +99,7 @@ class ExperimentConfig:
     master_seed: int
     reference: str = "none"
     paired: bool = False
-    threads: int = 0  # 0 = use all cores
+    threads: int = 0  # accepted for compatibility; has no effect (trials run serially)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -216,13 +230,16 @@ def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, inst: Instan
         raise InvariantViolation("combined mechanism left a job unscheduled")
 
 
-def _run_trial(cfg: ExperimentConfig, mech: MechanismConfig, index: int):
+def _run_trial(cfg: ExperimentConfig, mech: MechanismConfig, index: int, runtimes_out: np.ndarray):
+    """One trial: its row without the greedy column, and its paired-reference
+    statistics.  The instance's runtimes are copied into ``runtimes_out``."""
     seed = derive_trial_seed(cfg.master_seed, _TRIAL_STREAM, index)
     rng = np.random.default_rng(seed)
     inst = sample_instance(cfg.job_specs, cfg.m, rng)
     outcome = run_mechanism(mech, inst, compute_payments=False)
     _check_invariants(cfg, mech, inst, outcome)
     sched = outcome.schedule
+    runtimes_out[...] = inst.runtimes
 
     stage1 = stage2 = None
     if mech.kind == "sieve-bounded-overload":
@@ -230,14 +247,13 @@ def _run_trial(cfg: ExperimentConfig, mech: MechanismConfig, index: int):
         stage1 = float(sched.works[:m1].max())
         stage2 = float(sched.works[m1:].max())
 
-    row = ReportRow(
+    fields = dict(
         trial=index,
         makespan=sched.makespan,
         total_work=sched.total_work,
         max_load=int(sched.loads.max()),
         stage1_makespan=stage1,
         stage2_makespan=stage2,
-        greedy_first_best=first_best_makespan_greedy(inst),
         seed=seed,
     )
 
@@ -247,7 +263,21 @@ def _run_trial(cfg: ExperimentConfig, mech: MechanismConfig, index: int):
         machines = reduced_machine_count(cfg.m, delta)
         best = inst.runtimes[:, :machines].min(axis=1)
         paired_stats = (float(best.max()), float(best.sum() / machines))
-    return row, paired_stats
+    return fields, paired_stats
+
+
+def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
+    block = max(1, _BLOCK_CELLS // (cfg.n * cfg.m))
+    buffer = np.empty((min(block, cfg.trials), cfg.n, cfg.m))
+    rows, paired = [], []
+    for start in range(0, cfg.trials, block):
+        count = min(block, cfg.trials - start)
+        trials = [_run_trial(cfg, mech, start + b, buffer[b]) for b in range(count)]
+        greedy = greedy_makespans(buffer[:count])
+        for (fields, stats), value in zip(trials, greedy):
+            rows.append(ReportRow(greedy_first_best=float(value), **fields))
+            paired.append(stats)
+    return rows, paired
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -258,13 +288,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     mech = _resolve_mechanism(cfg)
-    workers = cfg.threads if cfg.threads > 0 else None
-    if cfg.threads == 1:
-        results = [_run_trial(cfg, mech, t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _run_trial(cfg, mech, t), range(cfg.trials)))
-    rows = [r for r, _ in results]
+    rows, paired = _run_trials(cfg, mech)
 
     makespans = np.array([r.makespan for r in rows])
     msp_mean, msp_se = _mean_se(makespans)
@@ -280,8 +304,8 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     delta = cfg.reference_delta
     if delta is not None:
         if cfg.paired:
-            wb = np.array([s[0] for _, s in results])
-            ab = np.array([s[1] for _, s in results])
+            wb = np.array([s[0] for s in paired])
+            ab = np.array([s[1] for s in paired])
             wb_mean, wb_se = _mean_se(wb)
             ab_mean, ab_se = _mean_se(ab)
             if wb_mean >= ab_mean:
@@ -323,7 +347,10 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     return CampaignResult(config=cfg, rows=rows, aggregate=aggregate, reference=reference)
 
 
+@functools.cache
 def version_string() -> str:
+    """Package version plus ``git describe`` of the source tree, computed
+    once per process: the code a process imported cannot change under it."""
     try:
         base = importlib.metadata.version("schedmech")
     except importlib.metadata.PackageNotFoundError:

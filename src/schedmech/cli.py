@@ -83,7 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(sim)
     sim.add_argument("--reference", choices=REFERENCES, default="none")
     sim.add_argument("--paired", action="store_true", help="reuse trial instances for the reference")
-    sim.add_argument("--threads", type=int, default=0, help="0 = all cores, 1 = serial")
+    sim.add_argument(
+        "--threads", type=int, default=0,
+        help="accepted for compatibility; has no effect (trials run serially in fixed blocks)",
+    )
     sim.add_argument("--out", default=None, help="report path (default: stdout)")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -265,12 +268,17 @@ def main(argv=None) -> int:
     return _cmd_bounds(args)
 
 
-def entrypoint() -> None:
+def entrypoint(argv=None) -> None:
+    """Console-script entry: bad input exits 2 and a failed invariant exits
+    3, each with a one-line message on stderr instead of a traceback."""
     try:
-        sys.exit(main())
+        sys.exit(main(argv))
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         sys.exit(3)
+    except ValueError as exc:  # InfeasibleError included
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -121,15 +123,21 @@ class Outcome:
 
     ``ranks[j]`` is the 1-based rank of job j's machine in its preference
     order (restricted to the job's stage for the combined mechanism), or -1
-    if unscheduled.  ``stages`` labels each job "sieve" / "overload" /
-    "unscheduled" for the combined mechanism and is None otherwise.
-    ``payments`` is None when the caller skipped payment computation.
+    if unscheduled.  Campaigns never read it, so it is computed by
+    ``rank_source`` on first access.  ``stages`` labels each job "sieve" /
+    "overload" / "unscheduled" for the combined mechanism and is None
+    otherwise.  ``payments`` is None when the caller skipped payment
+    computation.
     """
 
     schedule: Schedule
     payments: np.ndarray | None
-    ranks: np.ndarray
+    rank_source: Callable[[], np.ndarray] = field(repr=False)
     stages: tuple[str, ...] | None = None
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return self.rank_source()
 
 
 def _ceil_tol(x: float, tol: float = 1e-9) -> int:
@@ -198,9 +206,9 @@ def run_minimum_work(inst: Instance, compute_payments: bool = True) -> Outcome:
     """Unconstrained total-work minimizer with externality payments."""
     rc = RangeConstraint()
     schedule = solve_min_work(inst, rc)
-    ranks = _ranks_within(inst, schedule.assignment, np.arange(inst.m))
+    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
     payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, ranks=ranks)
+    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
 
 
 def run_bounded_overload(inst: Instance, c: float = 7.0, compute_payments: bool = True) -> Outcome:
@@ -209,9 +217,9 @@ def run_bounded_overload(inst: Instance, c: float = 7.0, compute_payments: bool 
         raise ValueError("overload factor c must exceed 1")
     rc = RangeConstraint(cap=overload_cap(inst.n, inst.m, c))
     schedule = solve_min_work(inst, rc)
-    ranks = _ranks_within(inst, schedule.assignment, np.arange(inst.m))
+    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
     payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, ranks=ranks)
+    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
 
 
 def run_sieve(inst: Instance, beta: float, compute_payments: bool = True) -> Outcome:
@@ -220,9 +228,9 @@ def run_sieve(inst: Instance, beta: float, compute_payments: bool = True) -> Out
         raise ValueError("reserve beta must be nonnegative")
     rc = RangeConstraint(reserve=beta)
     schedule = solve_min_work(inst, rc)
-    ranks = _ranks_within(inst, schedule.assignment, np.arange(inst.m))
+    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
     payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, ranks=ranks)
+    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
 
 
 def run_sieve_bounded_overload(
@@ -269,10 +277,12 @@ def run_sieve_bounded_overload(
         else ("sieve" if assignment[j] != UNSCHEDULED else "unscheduled")
         for j in range(n)
     )
-    ranks = _ranks_within(inst, np.asarray(stage1.assignment), set1)
-    if leftover.size:
-        ranks = ranks.copy()
-        ranks[leftover] = _ranks_within(sub, np.asarray(stage2.assignment), set2)
+
+    def ranks() -> np.ndarray:
+        out = _ranks_within(inst, np.asarray(stage1.assignment), set1)
+        if leftover.size:
+            out[leftover] = _ranks_within(sub, np.asarray(stage2.assignment), set2)
+        return out
 
     payments = None
     if compute_payments:
@@ -296,7 +306,7 @@ def run_sieve_bounded_overload(
                         schedule=schedule,
                     ) from exc
                 payments[i] = schedule_objective(pivot, rc2) - (base2 - stage2.works[i])
-    return Outcome(schedule=schedule, payments=payments, ranks=ranks, stages=stages)
+    return Outcome(schedule=schedule, payments=payments, rank_source=ranks, stages=stages)
 
 
 def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:

@@ -7,9 +7,11 @@ from schedmech.assignment import (
     UNSCHEDULED,
     InfeasibleError,
     RangeConstraint,
+    _available,
     brute_force_min_work,
     first_best_makespan_exact,
     first_best_makespan_greedy,
+    greedy_makespans,
     schedule_objective,
     solve_min_work,
 )
@@ -226,3 +228,52 @@ def test_greedy_upper_bounds_exact():
             first_best_makespan_greedy(inst)
             >= first_best_makespan_exact(inst) - 1e-12
         )
+
+
+def scalar_greedy(runtimes):
+    """The one-instance greedy loop, kept as the reference for the batched
+    greedy: longest best runtime first, each job on the first machine that
+    minimizes the resulting work."""
+    n, m = runtimes.shape
+    best = runtimes.min(axis=1)
+    order = sorted(range(n), key=lambda j: (-best[j], j))
+    works = np.zeros(m)
+    for j in order:
+        i = int(np.argmin(works + runtimes[j]))
+        works[i] += runtimes[j, i]
+    return float(works.max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.integers(1, 5),
+    n=st.integers(1, 9),
+    m=st.integers(1, 9),
+    family=st.sampled_from([TwoPoint(1.0, 10.0, 0.5), Exponential(1.0), Uniform(0.0, 1.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_greedy_equals_scalar_loop(blocks, n, m, family, seed):
+    # twopoint rows are tie-heavy in both the job order and the argmin
+    rng = np.random.default_rng(seed)
+    stack = np.stack([sample_instance([family] * n, m, rng).runtimes for _ in range(blocks)])
+    expected = [scalar_greedy(runtimes) for runtimes in stack]
+    assert greedy_makespans(stack).tolist() == expected
+    assert first_best_makespan_greedy(Instance(stack[0], (family,) * n)) == expected[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    excluded=st.frozensets(st.integers(-2, 8), max_size=8),
+    reserve=st.sampled_from([None, 1.0]),
+)
+def test_available_machines_match_set_difference(m, excluded, reserve):
+    rc = RangeConstraint(reserve=reserve, excluded=excluded)
+    expected = np.setdiff1d(np.arange(m), np.fromiter(excluded, dtype=int, count=len(excluded)))
+    if expected.size == 0 and reserve is None:
+        with pytest.raises(InfeasibleError, match="no machines available"):
+            _available(m, rc)
+        return
+    avail = _available(m, rc)
+    assert avail.dtype == expected.dtype
+    assert avail.tolist() == expected.tolist()

@@ -1,8 +1,13 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from schedmech import campaign
+from schedmech.assignment import first_best_makespan_greedy
 from schedmech.campaign import (
     REPORT_COLUMNS,
     CampaignResult,
@@ -14,9 +19,10 @@ from schedmech.campaign import (
     run_campaign,
     version_string,
 )
-from schedmech.cli import main
-from schedmech.distributions import Exponential, Uniform, parse_distribution
-from schedmech.mechanisms import MechanismConfig
+from schedmech.cli import entrypoint, main
+from schedmech.distributions import Exponential, TwoPoint, Uniform, parse_distribution
+from schedmech.instances import sample_instance
+from schedmech.mechanisms import MechanismConfig, partition_sizes, run_mechanism
 
 
 def config(**overrides):
@@ -56,6 +62,61 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
             emit_report(run_campaign(config(threads=threads)), out, fmt)
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
+
+
+def recomputed_rows(cfg):
+    """Each trial on its own, through the scalar path: seed, sample, run."""
+    mech = cfg.mechanism
+    rows = []
+    for t in range(cfg.trials):
+        seed = derive_trial_seed(cfg.master_seed, 0, t)
+        inst = sample_instance(cfg.job_specs, cfg.m, np.random.default_rng(seed))
+        sched = run_mechanism(mech, inst, compute_payments=False).schedule
+        stages = (None, None)
+        if mech.kind == "sieve-bounded-overload":
+            m1, _ = partition_sizes(cfg.m, mech.delta)
+            stages = (float(sched.works[:m1].max()), float(sched.works[m1:].max()))
+        greedy = first_best_makespan_greedy(inst)
+        rows.append(
+            (t, sched.makespan, sched.total_work, int(sched.loads.max()), *stages, greedy, seed)
+        )
+    return rows
+
+
+# c = 1.1 keeps the overload cap tight, so the LSA path runs in most trials.
+MECHANISMS = (
+    MechanismConfig("minimum-work"),
+    MechanismConfig("bounded-overload", c=1.1),
+    MechanismConfig("sieve", beta=0.5),
+    MechanismConfig("sieve-bounded-overload", c=1.1, beta=0.5, delta=0.5),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mech=st.sampled_from(MECHANISMS),
+    block=st.integers(1, 4),
+    offset=st.sampled_from([-1, 0, 1]),
+    n=st.integers(1, 7),
+    m=st.integers(2, 5),
+    dist=st.sampled_from([Exponential(1.0), TwoPoint(0.2, 1.0, 0.5)]),
+    seed=st.integers(0, 2**31),
+)
+def test_campaign_rows_equal_per_trial_recomputation(mech, block, offset, n, m, dist, seed):
+    # trials = B - 1, B and B + 1 around a block of B trials; B - 1 = 0 becomes 1
+    trials = max(1, block + offset)
+    cfg = config(mechanism=mech, dist=dist, n=n, m=m, trials=trials, master_seed=seed,
+                 reference="none")
+    with mock.patch.object(campaign, "_BLOCK_CELLS", block * n * m):
+        rows = run_campaign(cfg).rows
+    assert [row.as_tuple() for row in rows] == recomputed_rows(cfg)
+
+
+def test_campaign_rows_equal_per_trial_recomputation_at_default_block():
+    # n = m = 64 makes the default block 32 trials; 33 spans two blocks
+    block = campaign._BLOCK_CELLS // (64 * 64)
+    cfg = config(mechanism=MECHANISMS[1], n=64, m=64, trials=block + 1)
+    assert [row.as_tuple() for row in run_campaign(cfg).rows] == recomputed_rows(cfg)
 
 
 def test_rows_carry_expected_fields():
@@ -297,3 +358,20 @@ def test_cli_bounds(capsys):
 def test_cli_dist_parsing_matches_api():
     spec = parse_distribution("twopoint:1,10,0.5")
     assert spec.low == 1.0 and spec.high == 10.0 and spec.p_high == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--n", "0"], "need n >= 1"),
+        (["simulate", "--mechanism", "sieve", "--trials", "2"], "needs --beta or"),
+    ],
+)
+def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schedmech.assignment import (
     UNSCHEDULED,
@@ -10,7 +13,7 @@ from schedmech.assignment import (
     schedule_objective,
 )
 from schedmech.distributions import Exponential, TwoPoint, Uniform
-from schedmech.instances import Instance, rank_runtime, sample_instance
+from schedmech.instances import Instance, preference_order, rank_runtime, sample_instance
 from schedmech.mechanisms import (
     MechanismConfig,
     PaymentInfeasibleError,
@@ -472,3 +475,26 @@ def test_run_mechanism_dispatch_and_validation():
         MechanismConfig("sieve", beta=-1.0)
     with pytest.raises(ValueError):
         MechanismConfig("sieve-bounded-overload", delta=1.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(2, 6),
+    beta=st.sampled_from([0.0, 0.3, 1.0, 20.0]),
+    dist=st.sampled_from([Exponential(1.0), TwoPoint(0.2, 1.0, 0.5)]),
+    seed=st.integers(0, 2**31),
+)
+def test_combined_ranks_are_lazy_and_equal_the_eager_value(n, m, beta, dist, seed):
+    inst = sample_instance([dist] * n, m, np.random.default_rng(seed))
+    outcome = run_sieve_bounded_overload(inst, c=1.1, beta=beta, delta=0.5, compute_payments=False)
+    assert "ranks" not in vars(outcome)
+    m1, _ = partition_sizes(m, 0.5)
+    pools = {"sieve": range(m1), "overload": range(m1, m)}
+    eager = [
+        UNSCHEDULED if stage == "unscheduled"
+        else preference_order(inst, j, pools[stage]).tolist().index(outcome.schedule.assignment[j]) + 1
+        for j, stage in enumerate(outcome.stages)
+    ]
+    assert outcome.ranks.tolist() == eager
+    assert dataclasses.replace(outcome, payments=np.zeros(m)).ranks.tolist() == eager
