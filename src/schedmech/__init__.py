@@ -5,6 +5,8 @@ bounded overload, sieve, and their combination), their Clarke payments,
 first-best makespan bounds, and the statistical checks behind them.
 """
 
+__version__ = "0.1.0"  # the single source; pyproject.toml reads it
+
 from .assignment import (
     UNSCHEDULED,
     InfeasibleError,
@@ -68,5 +70,3 @@ from .optbounds import (
     expected_worst_best,
     opt_reference,
 )
-
-__version__ = "0.1.0"

@@ -24,7 +24,6 @@ not apply).  The JSON format mirrors the same fields.
 from __future__ import annotations
 
 import functools
-import importlib.metadata
 import json
 import math
 import subprocess
@@ -32,6 +31,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from . import __version__
 
 # first_best_makespan_greedy is no longer called here; the name stays
 # importable from this module because perfbench's tracer tests look it up.
@@ -315,7 +316,10 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
             reference = OptEstimate(
                 "max-of-both", reduced_machine_count(cfg.m, delta), ref_mean, ref_se, cfg.trials
             )
-            cov = float(np.cov(makespans, ref_samples, ddof=1)[0, 1]) / cfg.trials
+            # One trial has no sample covariance; its SEs are 0 too (_mean_se).
+            cov = 0.0
+            if cfg.trials > 1:
+                cov = float(np.cov(makespans, ref_samples, ddof=1)[0, 1]) / cfg.trials
             ratio = msp_mean / ref_mean
             var = ratio**2 * (
                 (msp_se / msp_mean) ** 2
@@ -351,10 +355,6 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
 def version_string() -> str:
     """Package version plus ``git describe`` of the source tree, computed
     once per process: the code a process imported cannot change under it."""
-    try:
-        base = importlib.metadata.version("schedmech")
-    except importlib.metadata.PackageNotFoundError:
-        base = "0.0.0+unpackaged"
     describe = ""
     try:
         proc = subprocess.run(
@@ -367,7 +367,7 @@ def version_string() -> str:
             describe = f"+g{proc.stdout.strip()}"
     except (OSError, subprocess.SubprocessError):
         pass
-    return f"schedmech {base}{describe}"
+    return f"schedmech {__version__}{describe}"
 
 
 def _fmt(value) -> str:

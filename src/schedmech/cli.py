@@ -39,7 +39,13 @@ from .checks import (
 )
 from .distributions import Exponential, Pareto, TwoPoint, Uniform, parse_distribution
 from .instances import sample_instance
-from .mechanisms import MECHANISM_KINDS, MechanismConfig, derive_reserve, ic_audit
+from .mechanisms import (
+    MECHANISM_KINDS,
+    MechanismConfig,
+    PaymentInfeasibleError,
+    derive_reserve,
+    ic_audit,
+)
 from .optbounds import expected_average_best, expected_worst_best, opt_reference
 
 __all__ = ["main", "entrypoint"]
@@ -276,7 +282,7 @@ def entrypoint(argv=None) -> None:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         sys.exit(3)
-    except ValueError as exc:  # InfeasibleError included
+    except (ValueError, PaymentInfeasibleError) as exc:  # InfeasibleError included
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 

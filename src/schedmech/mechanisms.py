@@ -1,7 +1,7 @@
 """Truthful scheduling mechanisms and their Clarke payments.
 
 Four mechanisms, all dominant-strategy incentive compatible because each is
-an exact total-work minimizer over a fixed outcome range:
+built from exact total-work minimizers over fixed outcome ranges:
 
 * minimum work -- every job on its cheapest machine; payments are the
   classic externality pivot.
@@ -12,8 +12,15 @@ an exact total-work minimizer over a fixed outcome range:
 * sieve + bounded overload -- machines are split into a sieve set of size
   ``ceil((1 - delta) * m)`` and an overload set holding the remainder; the
   sieve runs first, then bounded overload schedules its leftovers on the
-  second set.  Payments are stage-local: a machine's pivot removes it from
-  its own stage only.
+  second set.
+
+Each minimizer is a stage: a job subset, its sub-instance and its range,
+with the machines outside the stage excluded from the range.  The first
+three mechanisms are one stage; the combined one chains two, the second
+built from the first's leftovers.  :func:`_stages` is the one place that
+turns a :class:`MechanismConfig` into stages; the runner, the payments and
+the audit all work on what it yields.  Payments are stage-local: a
+machine's pivot removes it from its own stage only.
 
 Every pivot excludes the machine from the range rather than faking an
 infinite report; an infeasible pivot raises :class:`PaymentInfeasibleError`
@@ -29,9 +36,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -117,29 +124,6 @@ class MechanismConfig:
         return self.kind in ("sieve", "sieve-bounded-overload")
 
 
-@dataclass(frozen=True, eq=False)
-class Outcome:
-    """A mechanism run: schedule, payments, and placement diagnostics.
-
-    ``ranks[j]`` is the 1-based rank of job j's machine in its preference
-    order (restricted to the job's stage for the combined mechanism), or -1
-    if unscheduled.  Campaigns never read it, so it is computed by
-    ``rank_source`` on first access.  ``stages`` labels each job "sieve" /
-    "overload" / "unscheduled" for the combined mechanism and is None
-    otherwise.  ``payments`` is None when the caller skipped payment
-    computation.
-    """
-
-    schedule: Schedule
-    payments: np.ndarray | None
-    rank_source: Callable[[], np.ndarray] = field(repr=False)
-    stages: tuple[str, ...] | None = None
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return self.rank_source()
-
-
 def _ceil_tol(x: float, tol: float = 1e-9) -> int:
     """Ceiling that forgives float noise just above an integer."""
     return int(math.ceil(x - tol))
@@ -164,6 +148,98 @@ def partition_sizes(m: int, delta: float) -> tuple[int, int]:
     return m1, m2
 
 
+@dataclass(eq=False)
+class _Stage:
+    """One exact total-work minimization inside a mechanism.
+
+    ``inst`` holds the rows of ``jobs`` (indices into the full instance);
+    machines outside the stage are in ``rc.excluded``.  ``label`` names the
+    stage in the per-job labels of the combined mechanism and is None for
+    the single-stage ones.  The schedule is solved on first access.
+    """
+
+    jobs: np.ndarray
+    inst: Instance
+    rc: RangeConstraint
+    label: str | None = None
+
+    @cached_property
+    def schedule(self) -> Schedule:
+        return solve_min_work(self.inst, self.rc)
+
+    @cached_property
+    def machines(self) -> np.ndarray:
+        return np.array([i for i in range(self.inst.m) if i not in self.rc.excluded])
+
+
+def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
+    """The mechanism's stages in run order; the one branch on ``config.kind``.
+
+    A generator, so a caller that stops at the first stage never solves it;
+    the combined mechanism's overload stage needs the sieve's schedule, and
+    is skipped when the sieve leaves no job over.
+    """
+    n, m = inst.n, inst.m
+    jobs = np.arange(n)
+    if config.uses_reserve and config.beta is None:
+        raise ValueError(f"{config.kind} requires an explicit reserve beta")
+    if config.kind == "minimum-work":
+        yield _Stage(jobs, inst, RangeConstraint())
+    elif config.kind == "bounded-overload":
+        yield _Stage(jobs, inst, RangeConstraint(cap=overload_cap(n, m, config.c)))
+    elif config.kind == "sieve":
+        yield _Stage(jobs, inst, RangeConstraint(reserve=config.beta))
+    else:
+        if config.delta is None:
+            raise ValueError("sieve-bounded-overload requires a partition delta")
+        m1, m2 = partition_sizes(m, config.delta)
+        sieve_rc = RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m)))
+        sieve = _Stage(jobs, inst, sieve_rc, "sieve")
+        yield sieve
+        leftover = np.flatnonzero(sieve.schedule.assignment == UNSCHEDULED)
+        if leftover.size:
+            # m2 * cap >= leftover, so every leftover job is scheduled here.
+            cap = max(1, _ceil_tol(config.c * leftover.size / m2))
+            sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
+            overload_rc = RangeConstraint(cap=cap, excluded=frozenset(range(m1)))
+            yield _Stage(leftover, sub, overload_rc, "overload")
+
+
+@dataclass(frozen=True, eq=False)
+class Outcome:
+    """A mechanism run: schedule, payments, and placement diagnostics.
+
+    ``ranks[j]`` is the 1-based rank of job j's machine in its preference
+    order among the machines of the job's last stage, or -1 if unscheduled.
+    ``stages`` labels each job "sieve" / "overload" / "unscheduled" for the
+    combined mechanism and is None otherwise.  Campaigns read neither, so
+    both are computed from ``parts`` (the stages, in run order) on first
+    access.  ``payments`` is None when the caller skipped payment
+    computation.
+    """
+
+    schedule: Schedule
+    payments: np.ndarray | None
+    parts: tuple[_Stage, ...] = field(repr=False)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        ranks = np.full(self.schedule.assignment.size, UNSCHEDULED)
+        for stage in self.parts:
+            ranks[stage.jobs] = _ranks_within(stage.inst, stage.schedule.assignment, stage.machines)
+        return ranks
+
+    @cached_property
+    def stages(self) -> tuple[str, ...] | None:
+        if self.parts[0].label is None:
+            return None
+        labels = np.empty(self.schedule.assignment.size, dtype=object)
+        for stage in self.parts:
+            placed = stage.schedule.assignment != UNSCHEDULED
+            labels[stage.jobs] = np.where(placed, stage.label, "unscheduled")
+        return tuple(labels.tolist())
+
+
 def _ranks_within(inst: Instance, assignment: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """1-based preference rank of each job's machine among the pool machines.
 
@@ -182,55 +258,61 @@ def _ranks_within(inst: Instance, assignment: np.ndarray, pool: np.ndarray) -> n
     return ranks
 
 
-def _clarke_payments(inst: Instance, rc: RangeConstraint, schedule: Schedule) -> np.ndarray:
-    """Externality payment per machine: pivot removes the machine from rc."""
-    m = inst.m
-    payments = np.zeros(m)
-    base = schedule_objective(schedule, rc)
-    for i in range(m):
-        if i in rc.excluded:
-            continue
-        if schedule.loads[i] == 0:
-            continue  # removing an idle machine changes nothing
-        try:
-            pivot = solve_min_work(inst, rc.excluding(i))
-        except InfeasibleError as exc:
-            raise PaymentInfeasibleError(
-                f"pivot for machine {i} is infeasible: {exc}", schedule=schedule
-            ) from exc
-        payments[i] = schedule_objective(pivot, rc) - (base - schedule.works[i])
-    return payments
+def _pivot_objective(stage: _Stage, machine: int, schedule: Schedule | None = None) -> float:
+    """The stage's objective with ``machine`` removed from its range.
+
+    An infeasible pivot raises :class:`PaymentInfeasibleError` carrying
+    ``schedule``.
+    """
+    try:
+        pivot = solve_min_work(stage.inst, stage.rc.excluding(machine))
+    except InfeasibleError as exc:
+        raise PaymentInfeasibleError(
+            f"pivot for machine {machine} is infeasible: {exc}", schedule=schedule
+        ) from exc
+    return schedule_objective(pivot, stage.rc)
+
+
+def _clarke_payments(stage: _Stage, payments: np.ndarray, schedule: Schedule) -> None:
+    """Pay each loaded machine of the stage its externality within the stage;
+    ``schedule`` is the mechanism's, attached to an infeasible pivot's error."""
+    own = stage.schedule
+    base = schedule_objective(own, stage.rc)
+    for i in stage.machines.tolist():
+        if own.loads[i]:  # removing an idle machine changes nothing
+            payments[i] = _pivot_objective(stage, i, schedule) - (base - own.works[i])
+
+
+def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:
+    """Run the mechanism's stages; each job is placed by its last stage."""
+    parts = tuple(_stages(config, inst))
+    schedule = parts[0].schedule
+    if len(parts) > 1:
+        assignment = np.array(schedule.assignment)
+        for stage in parts[1:]:
+            assignment[stage.jobs] = stage.schedule.assignment
+        schedule = schedule_from_assignment(inst.runtimes, assignment)
+    payments = None
+    if compute_payments:
+        payments = np.zeros(inst.m)
+        for stage in parts:
+            _clarke_payments(stage, payments, schedule)
+    return Outcome(schedule=schedule, payments=payments, parts=parts)
 
 
 def run_minimum_work(inst: Instance, compute_payments: bool = True) -> Outcome:
     """Unconstrained total-work minimizer with externality payments."""
-    rc = RangeConstraint()
-    schedule = solve_min_work(inst, rc)
-    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
-    payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
+    return run_mechanism(MechanismConfig("minimum-work"), inst, compute_payments)
 
 
 def run_bounded_overload(inst: Instance, c: float = 7.0, compute_payments: bool = True) -> Outcome:
     """Total-work minimizer holding every machine to ceil(c * n/m) jobs."""
-    if not (c > 1):
-        raise ValueError("overload factor c must exceed 1")
-    rc = RangeConstraint(cap=overload_cap(inst.n, inst.m, c))
-    schedule = solve_min_work(inst, rc)
-    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
-    payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
+    return run_mechanism(MechanismConfig("bounded-overload", c=c), inst, compute_payments)
 
 
 def run_sieve(inst: Instance, beta: float, compute_payments: bool = True) -> Outcome:
     """Minimum work with a dummy machine priced at beta per job."""
-    if beta < 0:
-        raise ValueError("reserve beta must be nonnegative")
-    rc = RangeConstraint(reserve=beta)
-    schedule = solve_min_work(inst, rc)
-    ranks = partial(_ranks_within, inst, schedule.assignment, np.arange(inst.m))
-    payments = _clarke_payments(inst, rc, schedule) if compute_payments else None
-    return Outcome(schedule=schedule, payments=payments, rank_source=ranks)
+    return run_mechanism(MechanismConfig("sieve", beta=beta), inst, compute_payments)
 
 
 def run_sieve_bounded_overload(
@@ -246,81 +328,9 @@ def run_sieve_bounded_overload(
     ``max(1, ceil(c * u / m2))`` where ``u`` counts the sieve's unscheduled
     jobs, so every job ends up scheduled by exactly one stage.
     """
-    if not (0 < delta < 1):
-        raise ValueError("partition delta must lie in (0, 1)")
-    n, m = inst.n, inst.m
-    m1, m2 = partition_sizes(m, delta)
-    set1 = np.arange(0, m1)
-    set2 = np.arange(m1, m)
-
-    rc1 = RangeConstraint(reserve=beta, excluded=frozenset(set2.tolist()))
-    stage1 = solve_min_work(inst, rc1)
-    leftover = np.flatnonzero(stage1.assignment == UNSCHEDULED)
-
-    assignment = np.array(stage1.assignment)
-    rc2 = None
-    stage2 = None
-    sub = None
-    if leftover.size:
-        cap2 = max(1, _ceil_tol(c * leftover.size / m2))
-        sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
-        rc2 = RangeConstraint(cap=cap2, excluded=frozenset(set1.tolist()))
-        stage2 = solve_min_work(sub, rc2)
-        assignment[leftover] = stage2.assignment
-
-    schedule = schedule_from_assignment(inst.runtimes, assignment)
-
-    in_stage2 = np.zeros(n, dtype=bool)
-    in_stage2[leftover] = True
-    stages = tuple(
-        "overload" if in_stage2[j]
-        else ("sieve" if assignment[j] != UNSCHEDULED else "unscheduled")
-        for j in range(n)
+    return run_mechanism(
+        MechanismConfig("sieve-bounded-overload", c=c, beta=beta, delta=delta), inst, compute_payments
     )
-
-    def ranks() -> np.ndarray:
-        out = _ranks_within(inst, np.asarray(stage1.assignment), set1)
-        if leftover.size:
-            out[leftover] = _ranks_within(sub, np.asarray(stage2.assignment), set2)
-        return out
-
-    payments = None
-    if compute_payments:
-        payments = np.zeros(m)
-        base1 = schedule_objective(stage1, rc1)
-        for i in set1:
-            if schedule.loads[i] == 0:
-                continue
-            pivot = solve_min_work(inst, rc1.excluding(int(i)))
-            payments[i] = schedule_objective(pivot, rc1) - (base1 - stage1.works[i])
-        if leftover.size:
-            base2 = schedule_objective(stage2, rc2)
-            for i in set2:
-                if stage2.loads[i] == 0:
-                    continue
-                try:
-                    pivot = solve_min_work(sub, rc2.excluding(int(i)))
-                except InfeasibleError as exc:
-                    raise PaymentInfeasibleError(
-                        f"overload-stage pivot for machine {i} is infeasible: {exc}",
-                        schedule=schedule,
-                    ) from exc
-                payments[i] = schedule_objective(pivot, rc2) - (base2 - stage2.works[i])
-    return Outcome(schedule=schedule, payments=payments, rank_source=ranks, stages=stages)
-
-
-def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:
-    if config.kind == "minimum-work":
-        return run_minimum_work(inst, compute_payments)
-    if config.kind == "bounded-overload":
-        return run_bounded_overload(inst, config.c, compute_payments)
-    if config.beta is None:
-        raise ValueError(f"{config.kind} requires an explicit reserve beta")
-    if config.kind == "sieve":
-        return run_sieve(inst, config.beta, compute_payments)
-    if config.delta is None:
-        raise ValueError("sieve-bounded-overload requires a partition delta")
-    return run_sieve_bounded_overload(inst, config.c, config.beta, config.delta, compute_payments)
 
 
 def derive_reserve(
@@ -460,35 +470,6 @@ def misreport_columns(true_column: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return candidates
 
 
-def _machine_stage_problem(
-    config: MechanismConfig, inst: Instance, machine: int
-) -> tuple[np.ndarray, RangeConstraint]:
-    """The (job set, range) that machine's stage optimizes over."""
-    n, m = inst.n, inst.m
-    all_jobs = np.arange(n)
-    if config.kind == "minimum-work":
-        return all_jobs, RangeConstraint()
-    if config.kind == "bounded-overload":
-        return all_jobs, RangeConstraint(cap=overload_cap(n, m, config.c))
-    if config.beta is None:
-        raise ValueError(f"{config.kind} requires an explicit reserve beta")
-    if config.kind == "sieve":
-        return all_jobs, RangeConstraint(reserve=config.beta)
-    if config.delta is None:
-        raise ValueError("sieve-bounded-overload requires a partition delta")
-    m1, m2 = partition_sizes(m, config.delta)
-    if machine < m1:
-        return all_jobs, RangeConstraint(
-            reserve=config.beta, excluded=frozenset(range(m1, m))
-        )
-    # Overload-stage machines see only the sieve's leftovers, which do not
-    # depend on this machine's own report.
-    rc1 = RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m)))
-    leftover = np.flatnonzero(solve_min_work(inst, rc1).assignment == UNSCHEDULED)
-    cap2 = max(1, _ceil_tol(config.c * leftover.size / m2)) if leftover.size else 1
-    return leftover, RangeConstraint(cap=cap2, excluded=frozenset(range(m1)))
-
-
 def ic_audit(
     config: MechanismConfig,
     inst: Instance,
@@ -497,29 +478,26 @@ def ic_audit(
 ) -> list[IcViolation]:
     """Search the misreport grid for profitable deviations.
 
-    For each candidate report of each audited machine the outcome is
-    recomputed on the misreported matrix and the machine's utility (payment
-    minus the true runtime of the jobs it receives) is compared against the
-    truthful run.  Any gain above ``gain_tol`` is reported.  A finite grid
-    cannot prove truthfulness; an empty result is a failed falsification.
+    For each candidate report of each audited machine the outcome of the
+    machine's stage is recomputed on the misreported rows and the machine's
+    utility (payment minus the true runtime of the jobs it receives) is
+    compared against the truthful run.  Any gain above ``gain_tol`` is
+    reported.  A finite grid cannot prove truthfulness; an empty result is a
+    failed falsification.
     """
-    n, m = inst.n, inst.m
-    audit_machines = range(m) if machines is None else machines
     violations: list[IcViolation] = []
-    for i in audit_machines:
-        jobs, rc = _machine_stage_problem(config, inst, i)
-        if jobs.size == 0:
-            continue
-        stage_specs = tuple(inst.specs[j] for j in jobs)
-        stage_true = inst.runtimes[jobs]
-        try:
-            pivot = solve_min_work(Instance(stage_true, stage_specs), rc.excluding(i))
-        except InfeasibleError as exc:
-            raise PaymentInfeasibleError(f"audit pivot for machine {i} infeasible: {exc}") from exc
-        pivot_objective = schedule_objective(pivot, rc)
+    for i in range(inst.m) if machines is None else machines:
+        # Each machine builds its own stages, so an overload-stage machine
+        # solves the sieve stage again to find its jobs: the sieve's
+        # leftovers, which do not depend on this machine's own report.
+        stage = next((s for s in _stages(config, inst) if i not in s.rc.excluded), None)
+        if stage is None:
+            continue  # the sieve left no job for the overload stage
+        rc, specs, stage_true = stage.rc, stage.inst.specs, stage.inst.runtimes
+        pivot_objective = _pivot_objective(stage, i)
 
         def utility(reported_rows: np.ndarray) -> float:
-            sched = solve_min_work(Instance(reported_rows, stage_specs), rc)
+            sched = solve_min_work(Instance(reported_rows, specs), rc)
             payment = pivot_objective - (schedule_objective(sched, rc) - sched.works[i])
             mine = sched.assignment == i
             return float(payment - stage_true[mine, i].sum())
@@ -527,7 +505,7 @@ def ic_audit(
         truthful = utility(stage_true)
         for label, column in misreport_columns(inst.runtimes[:, i].copy()):
             reported = stage_true.copy()
-            reported[:, i] = column[jobs]
+            reported[:, i] = column[stage.jobs]
             deviant = utility(reported)
             if deviant - truthful > gain_tol:
                 violations.append(IcViolation(i, label, truthful, deviant))

@@ -158,6 +158,16 @@ def test_paired_reference_uses_shared_instances():
     assert [r.makespan for r in paired.rows] == [r.makespan for r in fresh.rows]
 
 
+def test_paired_one_trial_report_is_strict_json():
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    result = run_campaign(config(paired=True, trials=1))
+    assert result.aggregate["ratio_se"] == 0.0
+    payload = json.loads(emit_report(result, None, fmt="json"), parse_constant=reject)
+    assert payload["aggregate"]["ratio_se"] == 0.0
+
+
 def test_paired_mode_reduces_ratio_variance():
     # makespan and the same-instance reference move together, so the delta
     # method's covariance term must shrink the ratio SE vs fresh draws
@@ -365,6 +375,11 @@ def test_cli_dist_parsing_matches_api():
     [
         (["simulate", "--n", "0"], "need n >= 1"),
         (["simulate", "--mechanism", "sieve", "--trials", "2"], "needs --beta or"),
+        (
+            ["ic-audit", "--mechanism", "bounded-overload", "--c", "1.1", "--n", "4", "--m", "2",
+             "--trials", "2"],
+            "is infeasible",
+        ),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):

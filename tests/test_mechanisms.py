@@ -245,6 +245,18 @@ def test_combined_rejects_empty_overload_set():
         run_sieve_bounded_overload(inst, c=7.0, beta=1.0, delta=0.5)
 
 
+def test_combined_overload_pivot_infeasibility_carries_the_full_schedule():
+    # m1 = m2 = 1: the sieve keeps job 1 on machine 0, jobs 0 and 2 go to
+    # the overload stage's only machine, whose pivot leaves them no machine
+    inst = make_instance([[5.0, 1.0], [0.5, 2.0], [6.0, 3.0]])
+    with pytest.raises(PaymentInfeasibleError) as err:
+        run_sieve_bounded_overload(inst, c=2.0, beta=1.0, delta=0.5)
+    outcome = run_sieve_bounded_overload(inst, c=2.0, beta=1.0, delta=0.5, compute_payments=False)
+    assert outcome.stages == ("overload", "sieve", "overload")
+    assert err.value.schedule.assignment.tolist() == [1, 0, 1]
+    assert err.value.schedule.works.tolist() == outcome.schedule.works.tolist()
+
+
 def test_combined_stage_local_payments_match_oracle():
     rng = np.random.default_rng(29)
     spec = TwoPoint(1.0, 10.0, 0.5)
@@ -475,6 +487,13 @@ def test_run_mechanism_dispatch_and_validation():
         MechanismConfig("sieve", beta=-1.0)
     with pytest.raises(ValueError):
         MechanismConfig("sieve-bounded-overload", delta=1.5)
+    # each wrapper validates through MechanismConfig
+    with pytest.raises(ValueError):
+        run_bounded_overload(inst, c=1.0)
+    with pytest.raises(ValueError):
+        run_sieve(inst, beta=-1.0)
+    with pytest.raises(ValueError):
+        run_sieve_bounded_overload(inst, c=1.0, beta=0.5, delta=0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,6 +508,7 @@ def test_combined_ranks_are_lazy_and_equal_the_eager_value(n, m, beta, dist, see
     inst = sample_instance([dist] * n, m, np.random.default_rng(seed))
     outcome = run_sieve_bounded_overload(inst, c=1.1, beta=beta, delta=0.5, compute_payments=False)
     assert "ranks" not in vars(outcome)
+    assert "stages" not in vars(outcome)
     m1, _ = partition_sizes(m, 0.5)
     pools = {"sieve": range(m1), "overload": range(m1, m)}
     eager = [
