@@ -36,6 +36,7 @@ __all__ = [
     "InfeasibleError",
     "RangeConstraint",
     "Schedule",
+    "check_capacity",
     "schedule_from_assignment",
     "solve_min_work",
     "brute_force_min_work",
@@ -153,6 +154,17 @@ def _available(m: int, rc: RangeConstraint) -> np.ndarray:
     return avail
 
 
+def check_capacity(n: int, machines: int, rc: RangeConstraint) -> None:
+    """Raise :class:`InfeasibleError` when ``machines`` available machines
+    cannot take ``n`` jobs within the range; the dummy takes any number."""
+    if rc.reserve is not None:
+        return
+    if machines == 0:
+        raise InfeasibleError("no machines available")
+    if rc.cap is not None and rc.cap * machines < n:
+        raise InfeasibleError(f"capacity {rc.cap} on {machines} machines cannot hold {n} jobs")
+
+
 def _argmin_assignment(runtimes, avail, reserve):
     cols = runtimes[:, avail]
     pick = np.argmin(cols, axis=1)  # first minimum = lowest available index
@@ -172,10 +184,7 @@ def solve_min_work(inst: Instance, rc: RangeConstraint | None = None) -> Schedul
     if avail.size == 0:
         return schedule_from_assignment(runtimes, np.full(n, UNSCHEDULED))
 
-    if rc.cap is not None and rc.reserve is None and rc.cap * avail.size < n:
-        raise InfeasibleError(
-            f"capacity {rc.cap} on {avail.size} machines cannot hold {n} jobs"
-        )
+    check_capacity(n, avail.size, rc)
 
     assignment = _argmin_assignment(runtimes, avail, rc.reserve)
     if rc.cap is None:

@@ -22,9 +22,15 @@ turns a :class:`MechanismConfig` into stages; the runner, the payments and
 the audit all work on what it yields.  Payments are stage-local: a
 machine's pivot removes it from its own stage only.
 
-Every pivot excludes the machine from the range rather than faking an
-infinite report; an infeasible pivot raises :class:`PaymentInfeasibleError`
-with the schedule attached instead of silently paying zero.
+A machine's pivot is the stage's optimum with the machine excluded from
+the range, not a fake infinite report.  It is not re-solved:
+:func:`_stage_payments` starts from the stage optimum and re-routes only the
+removed machine's jobs, along shortest paths through the other machines.
+On an uncapacitated stage no path is needed, and each machine is paid the
+runtimes its jobs would have on their next-best machine (or the reserve):
+the minimum-work payment of Nisan and Ronen.  An infeasible pivot raises
+:class:`PaymentInfeasibleError` with the schedule attached instead of
+silently paying zero.
 
 Also here: the last-entry diagnostic (schedule everyone else, then walk the
 held-out job down its preference list to the first machine with a free
@@ -47,6 +53,7 @@ from .assignment import (
     InfeasibleError,
     RangeConstraint,
     Schedule,
+    check_capacity,
     schedule_from_assignment,
     schedule_objective,
     solve_min_work,
@@ -155,7 +162,8 @@ class _Stage:
     ``inst`` holds the rows of ``jobs`` (indices into the full instance);
     machines outside the stage are in ``rc.excluded``.  ``label`` names the
     stage in the per-job labels of the combined mechanism and is None for
-    the single-stage ones.  The schedule is solved on first access.
+    the single-stage ones.  The schedule and the payments are computed on
+    first access.
     """
 
     jobs: np.ndarray
@@ -169,7 +177,11 @@ class _Stage:
 
     @cached_property
     def machines(self) -> np.ndarray:
-        return np.array([i for i in range(self.inst.m) if i not in self.rc.excluded])
+        return np.array([i for i in range(self.inst.m) if i not in self.rc.excluded], dtype=int)
+
+    @cached_property
+    def payments(self) -> np.ndarray:
+        return _stage_payments(self)
 
 
 def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
@@ -258,29 +270,163 @@ def _ranks_within(inst: Instance, assignment: np.ndarray, pool: np.ndarray) -> n
     return ranks
 
 
-def _pivot_objective(stage: _Stage, machine: int, schedule: Schedule | None = None) -> float:
-    """The stage's objective with ``machine`` removed from its range.
+def _stage_payments(stage: _Stage) -> np.ndarray:
+    """Each machine's Clarke payment within the stage, from the stage optimum.
+
+    Machine i is paid ``OPT₋ᵢ − (OPT − wᵢ)``: the least extra cost of placing
+    its jobs elsewhere once it is removed, every other job starting where the
+    optimum put it (that part of the optimum stays optimal without i).  The
+    work is on machine columns: the stage's machines, then the dummy at
+    runtime ``reserve`` when the range has one; excluded machines have no
+    column.  The freed jobs are placed one at a time by successive shortest
+    paths (Ahuja, Magnanti and Orlin, *Network Flows*, ch. 9): a job goes to
+    the column k with the cheapest ``r[j, k] + D[k]``, where ``D[k]`` is the
+    cheapest way to make room on column k, 0 where it has slack.  ``D`` is
+    never negative at an optimum, so a machine whose freed jobs all fit in
+    slack at their best other column is paid the sum of those runtimes; one
+    pass settles every such machine.  On an uncapacitated stage that is
+    every machine, and it is the minimum-work payment of Nisan and Ronen.
+    Idle machines and machines outside the stage are paid 0.
+
+    Raises :class:`InfeasibleError` when removing a machine leaves no
+    feasible schedule; every machine of such a stage is loaded.
+    """
+    own = stage.schedule
+    machines = stage.machines
+    runtimes = stage.inst.runtimes
+    rc = stage.rc
+    n, m = runtimes.shape
+    check_capacity(n, machines.size - 1, rc)
+    cost = runtimes[:, machines]
+    if rc.reserve is not None:
+        cost = np.hstack([cost, np.full((n, 1), rc.reserve)])
+    width = cost.shape[1]
+    jobs = np.arange(n)
+    placed = own.assignment != UNSCHEDULED
+    col = np.where(placed, np.searchsorted(machines, own.assignment), machines.size)
+    room = np.full(width, np.inf)
+    if rc.cap is not None:
+        room[: machines.size] = rc.cap - own.loads[machines]
+    # the first pass: every freed job at its best other column
+    other = cost.copy()
+    other[jobs, col] = np.inf
+    best = other.argmin(axis=1)
+    need = np.bincount(col * width + best, minlength=width * width).reshape(width, width)
+    paid = np.bincount(col, weights=other[jobs, best], minlength=width)
+    loaded = own.loads[machines] > 0
+    walks = np.flatnonzero(loaded & ~(need[: machines.size] <= room).all(axis=1))
+    if walks.size:
+        # moves[k, k'] is the cheapest change of runtime from moving one job
+        # of column k to column k'
+        order = np.argsort(col, kind="stable")
+        starts = np.flatnonzero(np.diff(col[order], prepend=-1))
+        moves = np.full((width, width), np.inf)
+        moves[col[order[starts]]] = np.minimum.reduceat(
+            (cost - cost[jobs, col, None])[order], starts
+        )
+        tol = 1e-12 * max(1.0, float(cost.max()))
+        for k in walks:
+            paid[k] = _reroute(cost, col, room, moves, k, tol)
+    payments = np.zeros(m)
+    payments[machines[loaded]] = paid[: machines.size][loaded]
+    return payments
+
+
+def _reroute(
+    cost: np.ndarray, col: np.ndarray, room: np.ndarray, moves: np.ndarray, k: int, tol: float
+) -> float:
+    """Extra cost of placing column k's jobs on the other columns.
+
+    Column k becomes a full column with no job, which no path can reach.
+    The freed jobs are placed in index order; any order gives the same
+    total, because each placement is a shortest path from its job.  A job
+    goes to the column c with the cheapest ``cost[j, c] + D[c]``; when c is
+    full, the walk follows the predecessor chain from c to a column with
+    slack, each hop moving the job that attains ``moves`` one column on.
+    """
+    col, room, moves = col.copy(), room.copy(), moves.copy()
+    freed = np.flatnonzero(col == k)
+    col[freed] = -1
+    room[k] = 0
+    moves[k] = np.inf
+    # room costs only grow as jobs are placed, so the last ones computed
+    # are a lower bound: a job whose cheapest column under them has slack
+    # goes there without computing them again
+    dist = np.zeros(room.size)
+    dist[k] = np.inf
+    fresh = False
+    total = 0.0
+    for job in freed:
+        c = int((cost[job] + dist).argmin())
+        if room[c] == 0 and not fresh:
+            dist, pred = _room_costs(moves, room, tol)
+            fresh = True
+            c = int((cost[job] + dist).argmin())
+        total += cost[job, c] + dist[c]
+        path, moving = [c], job
+        while room[c] == 0:
+            on_c = np.flatnonzero(col == c)
+            nxt = pred[c]
+            col[moving], moving = c, on_c[np.argmin(cost[on_c, nxt] - cost[on_c, c])]
+            c = nxt
+            path.append(c)
+        col[moving] = c
+        room[c] -= 1
+        for q in path:
+            if room[q] == 0:
+                on_q = np.flatnonzero(col == q)
+                moves[q] = (cost[on_q] - cost[on_q, q, None]).min(axis=0)
+        # a transfer, or a column that just filled up, changes the room costs
+        fresh = fresh and len(path) == 1 and room[c] > 0
+    return total
+
+
+def _room_costs(moves: np.ndarray, room: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bellman–Ford over the full columns: ``dist[c]`` is the cheapest cost
+    of making room for one more job on column c, ``pred[c]`` the next column
+    on that path.
+
+    A predecessor is recorded only on a strict improvement, by more than the
+    float noise ``tol``: with ties, a column can reach slack through another
+    at the same cost and back, and taking the argmin after convergence could
+    close that loop, so the walk from it would never end.
+    """
+    full = np.flatnonzero(room == 0)
+    dist = np.zeros(room.size)
+    dist[full] = np.inf
+    pred = np.full(room.size, -1)
+    rows = moves[full]
+    at = np.arange(full.size)
+    for _ in range(room.size):
+        via = rows + dist
+        nxt = via.argmin(axis=1)
+        step = via[at, nxt]
+        better = np.flatnonzero(step < dist[full] - tol)
+        if not better.size:
+            break
+        dist[full[better]] = step[better]
+        pred[full[better]] = nxt[better]
+    return dist, pred
+
+
+def _clarke_payments(
+    stage: _Stage, schedule: Schedule | None = None, machine: int | None = None
+) -> np.ndarray:
+    """The stage's :func:`_stage_payments`, computed once per stage.
 
     An infeasible pivot raises :class:`PaymentInfeasibleError` carrying
-    ``schedule``.
+    ``schedule``, for ``machine`` or else for the stage's first loaded
+    machine.
     """
     try:
-        pivot = solve_min_work(stage.inst, stage.rc.excluding(machine))
+        return stage.payments
     except InfeasibleError as exc:
+        if machine is None:
+            own = stage.schedule
+            machine = int(stage.machines[own.loads[stage.machines] > 0][0])
         raise PaymentInfeasibleError(
             f"pivot for machine {machine} is infeasible: {exc}", schedule=schedule
         ) from exc
-    return schedule_objective(pivot, stage.rc)
-
-
-def _clarke_payments(stage: _Stage, payments: np.ndarray, schedule: Schedule) -> None:
-    """Pay each loaded machine of the stage its externality within the stage;
-    ``schedule`` is the mechanism's, attached to an infeasible pivot's error."""
-    own = stage.schedule
-    base = schedule_objective(own, stage.rc)
-    for i in stage.machines.tolist():
-        if own.loads[i]:  # removing an idle machine changes nothing
-            payments[i] = _pivot_objective(stage, i, schedule) - (base - own.works[i])
 
 
 def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:
@@ -296,7 +442,7 @@ def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: boo
     if compute_payments:
         payments = np.zeros(inst.m)
         for stage in parts:
-            _clarke_payments(stage, payments, schedule)
+            payments += _clarke_payments(stage, schedule)
     return Outcome(schedule=schedule, payments=payments, parts=parts)
 
 
@@ -483,30 +629,32 @@ def ic_audit(
     utility (payment minus the true runtime of the jobs it receives) is
     compared against the truthful run.  Any gain above ``gain_tol`` is
     reported.  A finite grid cannot prove truthfulness; an empty result is a
-    failed falsification.
+    failed falsification.  The stages, their truthful schedules and their
+    pivots are computed once per audit: a machine's pivot excludes it, so
+    it does not depend on the machine's report.
     """
     violations: list[IcViolation] = []
+    parts = tuple(_stages(config, inst))
     for i in range(inst.m) if machines is None else machines:
-        # Each machine builds its own stages, so an overload-stage machine
-        # solves the sieve stage again to find its jobs: the sieve's
-        # leftovers, which do not depend on this machine's own report.
-        stage = next((s for s in _stages(config, inst) if i not in s.rc.excluded), None)
+        stage = next((s for s in parts if i not in s.rc.excluded), None)
         if stage is None:
             continue  # the sieve left no job for the overload stage
         rc, specs, stage_true = stage.rc, stage.inst.specs, stage.inst.runtimes
-        pivot_objective = _pivot_objective(stage, i)
+        own = stage.schedule
+        pivot_objective = (
+            schedule_objective(own, rc) - own.works[i] + _clarke_payments(stage, machine=i)[i]
+        )
 
-        def utility(reported_rows: np.ndarray) -> float:
-            sched = solve_min_work(Instance(reported_rows, specs), rc)
+        def utility(sched: Schedule) -> float:
             payment = pivot_objective - (schedule_objective(sched, rc) - sched.works[i])
             mine = sched.assignment == i
             return float(payment - stage_true[mine, i].sum())
 
-        truthful = utility(stage_true)
+        truthful = utility(own)
         for label, column in misreport_columns(inst.runtimes[:, i].copy()):
             reported = stage_true.copy()
             reported[:, i] = column[stage.jobs]
-            deviant = utility(reported)
+            deviant = utility(solve_min_work(Instance(reported, specs), rc))
             if deviant - truthful > gain_tol:
                 violations.append(IcViolation(i, label, truthful, deviant))
     return violations

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from hypothesis import strategies as st
 
 from schedmech.assignment import (
     UNSCHEDULED,
+    InfeasibleError,
     RangeConstraint,
     brute_force_min_work,
+    schedule_from_assignment,
     schedule_objective,
+    solve_min_work,
 )
 from schedmech.distributions import Exponential, TwoPoint, Uniform
 from schedmech.instances import Instance, preference_order, rank_runtime, sample_instance
 from schedmech.mechanisms import (
     MechanismConfig,
     PaymentInfeasibleError,
+    _clarke_payments,
+    _Stage,
     default_partition,
     derive_reserve,
     geometric_rank_pmf,
@@ -40,14 +46,16 @@ def make_instance(rows):
     return Instance(rows, (SPEC,) * rows.shape[0])
 
 
-def pivot_oracle(inst, rc, schedule):
-    """Externality payments via exhaustive enumeration of every pivot."""
+def pivot_oracle(inst, rc, schedule, solve=brute_force_min_work):
+    """Externality payments from solving every pivot from scratch, by
+    exhaustive enumeration or, with ``solve=solve_min_work``, by the full
+    re-solve."""
     payments = np.zeros(inst.m)
     base = schedule_objective(schedule, rc)
     for i in range(inst.m):
         if schedule.loads[i] == 0:
             continue
-        pivot = brute_force_min_work(inst, rc.excluding(i))
+        pivot = solve(inst, rc.excluding(i))
         payments[i] = schedule_objective(pivot, rc) - (base - schedule.works[i])
     return payments
 
@@ -146,6 +154,96 @@ def test_bounded_overload_pivot_infeasibility_raises():
     assert overload_cap(4, 2, 1.5) == 3
     with pytest.raises(PaymentInfeasibleError):
         run_bounded_overload(inst, c=1.5)
+
+
+# ----------------------------------------------------- incremental pivots
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 4),
+    dist=st.sampled_from([Exponential(1.0), TwoPoint(1.0, 10.0, 0.5)]),
+    cap=st.integers(1, 3),
+    reserve=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
+    excluded=st.sets(st.integers(0, 3), max_size=2),
+    seed=st.integers(0, 2**31),
+)
+@pytest.mark.parametrize("kind", ["cap", "reserve", "cap+reserve"])
+@pytest.mark.parametrize("excluding", [False, True])
+def test_stage_payments_equal_resolved_and_enumerated_pivots(
+    kind, excluding, n, m, dist, cap, reserve, excluded, seed
+):
+    inst = sample_instance([dist] * n, m, np.random.default_rng(seed))
+    rc = RangeConstraint(
+        cap=cap if "cap" in kind else None,
+        reserve=reserve if "reserve" in kind else None,
+        excluded=frozenset(i for i in excluded if i < m) if excluding else frozenset(),
+    )
+    try:
+        schedule = solve_min_work(inst, rc)
+    except InfeasibleError:
+        return  # no stage to pay
+    stage = _Stage(np.arange(n), inst, rc)
+    try:
+        resolved = pivot_oracle(inst, rc, schedule, solve=solve_min_work)
+    except InfeasibleError as exc:
+        first = next(i for i in range(m) if schedule.loads[i])
+        with pytest.raises(PaymentInfeasibleError) as err:
+            _clarke_payments(stage, schedule)
+        assert str(err.value) == f"pivot for machine {first} is infeasible: {exc}"
+        assert err.value.schedule is schedule
+        return
+    payments = _clarke_payments(stage, schedule)
+    assert np.allclose(payments, resolved, rtol=0, atol=1e-9)
+    assert np.allclose(payments, pivot_oracle(inst, rc, schedule), rtol=0, atol=1e-9)
+
+
+def test_stage_payments_survive_zero_cost_cycles():
+    # Machines 0 and 1 are full and each can pass its job to the other at
+    # cost 0, or to slack at cost 0: a predecessor taken after convergence
+    # can point 0 -> 1 -> 0, and machine 2's pivot then never finds slack.
+    inst = make_instance([[1, 1, 10], [10, 10, 10], [1, 1, 1], [1, 10, 1]])
+    rc = RangeConstraint(cap=1, reserve=1.0)
+    stage = _Stage(np.arange(4), inst, rc)
+    stage.schedule = schedule_from_assignment(inst.runtimes, np.array([0, -1, 1, 2]))
+    assert schedule_objective(stage.schedule, rc) == schedule_objective(
+        brute_force_min_work(inst, rc), rc
+    )
+    expected = pivot_oracle(inst, rc, stage.schedule)
+    # a looping walk never returns: fail after a while instead of hanging
+    result = []
+    worker = threading.Thread(target=lambda: result.append(_clarke_payments(stage)), daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert result, "the pivots did not finish"
+    assert result[0].tolist() == pytest.approx(expected.tolist(), abs=1e-12)
+
+
+def test_stage_payments_recompute_room_costs_after_a_machine_fills():
+    # Machine 2's pivot computes room costs for job 1, whose placement
+    # fills a machine without a transfer; job 5 then needs the room costs
+    # again, with that machine full.
+    inst = make_instance(
+        [[28, 9, 27, 13], [13, 7, 2, 23], [11, 20, 16, 14],
+         [12, 4, 22, 26], [22, 14, 27, 29], [14, 4, 7, 20]]
+    )
+    outcome = run_bounded_overload(inst, c=1.3)
+    rc = RangeConstraint(cap=overload_cap(6, 4, 1.3))
+    assert rc.cap == 2
+    expected = pivot_oracle(inst, rc, outcome.schedule)
+    assert outcome.payments.tolist() == pytest.approx(expected.tolist(), abs=1e-12)
+
+
+def test_bounded_overload_payments_equal_resolved_pivots_at_benchmark_scale():
+    # small instances rarely re-route a job over more than one machine
+    n, m, c = 256, 64, 1.5
+    inst = sample_instance([Exponential(1.0)] * n, m, np.random.default_rng(56))
+    outcome = run_bounded_overload(inst, c=c)
+    rc = RangeConstraint(cap=overload_cap(n, m, c))
+    resolved = pivot_oracle(inst, rc, outcome.schedule, solve=solve_min_work)
+    assert np.count_nonzero(outcome.schedule.loads == rc.cap) > 0
+    assert np.allclose(outcome.payments, resolved, rtol=0, atol=1e-9)
 
 
 # --------------------------------------------------------------------- sieve
