@@ -36,6 +36,8 @@ __all__ = [
     "InfeasibleError",
     "RangeConstraint",
     "Schedule",
+    "argmin_assignment",
+    "available_machines",
     "check_capacity",
     "schedule_from_assignment",
     "solve_min_work",
@@ -139,7 +141,8 @@ def schedule_objective(schedule: Schedule, rc: RangeConstraint | None) -> float:
     return schedule.total_work + reserve * schedule.n_unscheduled
 
 
-def _available(m: int, rc: RangeConstraint) -> np.ndarray:
+def available_machines(m: int, rc: RangeConstraint) -> np.ndarray:
+    """The range's machines: 0..m-1 without the excluded ones."""
     if rc.excluded:
         keep = np.ones(m, dtype=bool)
         # Indices outside 0..m-1 name no machine and are ignored.
@@ -165,13 +168,27 @@ def check_capacity(n: int, machines: int, rc: RangeConstraint) -> None:
         raise InfeasibleError(f"capacity {rc.cap} on {machines} machines cannot hold {n} jobs")
 
 
-def _argmin_assignment(runtimes, avail, reserve):
-    cols = runtimes[:, avail]
-    pick = np.argmin(cols, axis=1)  # first minimum = lowest available index
-    assignment = avail[pick]
+def argmin_assignment(
+    runtimes: np.ndarray, avail: np.ndarray, reserve: float | None = None
+) -> np.ndarray:
+    """The range's optimum before its cap: each job on its cheapest machine
+    in ``avail``, the lowest index winning a tie, and UNSCHEDULED when that
+    runtime strictly exceeds ``reserve``.
+
+    ``runtimes`` is one ``(n, m)`` matrix or a stack ``(..., n, m)``; the
+    assignment has the shape of a runtime column, ``(..., n)``.
+    """
+    if avail.size == 0:
+        return np.full(runtimes.shape[:-1], UNSCHEDULED)
+    first = int(avail[0])
+    if avail[-1] - first + 1 == avail.size:
+        cols = runtimes[..., first : first + avail.size]  # a view, not a copy
+    else:
+        cols = runtimes[..., avail]
+    assignment = avail[cols.argmin(axis=-1)]
     if reserve is not None:
-        best = cols[np.arange(cols.shape[0]), pick]
-        assignment = np.where(best > reserve, UNSCHEDULED, assignment)
+        # the minimum compares with the reserve exactly as the argmin's entry
+        assignment[cols.min(axis=-1) > reserve] = UNSCHEDULED
     return assignment
 
 
@@ -180,13 +197,10 @@ def solve_min_work(inst: Instance, rc: RangeConstraint | None = None) -> Schedul
     rc = rc if rc is not None else RangeConstraint()
     runtimes = inst.runtimes
     n, m = runtimes.shape
-    avail = _available(m, rc)
-    if avail.size == 0:
-        return schedule_from_assignment(runtimes, np.full(n, UNSCHEDULED))
-
+    avail = available_machines(m, rc)
     check_capacity(n, avail.size, rc)
 
-    assignment = _argmin_assignment(runtimes, avail, rc.reserve)
+    assignment = argmin_assignment(runtimes, avail, rc.reserve)
     if rc.cap is None:
         return schedule_from_assignment(runtimes, assignment)
 
@@ -235,7 +249,7 @@ def brute_force_min_work(inst: Instance, rc: RangeConstraint | None = None) -> S
     rc = rc if rc is not None else RangeConstraint()
     runtimes = inst.runtimes
     n, m = runtimes.shape
-    avail = _available(m, rc)
+    avail = available_machines(m, rc)
     choices: list[int] = [int(i) for i in avail]
     if rc.reserve is not None:
         choices.append(UNSCHEDULED)
@@ -316,11 +330,13 @@ def greedy_makespans(runtimes: np.ndarray) -> np.ndarray:
     blocks, n, m = runtimes.shape
     order = np.argsort(-runtimes.min(axis=2), axis=1, kind="stable")
     rows = np.arange(blocks)
+    offsets = rows * m
     works = np.zeros((blocks, m))
     resulting = np.empty((blocks, m))
+    works_flat, resulting_flat = works.reshape(-1), resulting.reshape(-1)
     for position in range(n):
         np.add(works, runtimes[rows, order[:, position]], out=resulting)
-        machine = resulting.argmin(axis=1)
+        chosen = resulting.argmin(axis=1) + offsets
         # the same sum that ``works[machine] += runtime`` would store
-        works[rows, machine] = resulting[rows, machine]
+        works_flat[chosen] = resulting_flat[chosen]
     return works.max(axis=1)

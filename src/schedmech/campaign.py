@@ -8,9 +8,13 @@ from ``(master_seed, stream, trial_index)``, so results are byte-identical
 for a given configuration.
 
 Trials run serially in fixed blocks of about ``_BLOCK_CELLS`` runtime
-entries.  Each trial samples its instance and runs the mechanism on it
-alone; its runtimes are then copied into the block's ``(B, n, m)`` buffer,
-and the greedy first-best column is computed for the whole block at once
+entries.  Each trial still draws from its own seeded generator, straight
+into the block's ``(B, n, m)`` buffer; the rest is array operations over
+the block.  Each stage of the mechanism is one argmin over the block (with
+the sieve's reserve as a mask), and loads and works are one ``bincount``.
+A trial in which a capacitated stage's argmin breaks the cap is run alone
+through :func:`schedmech.mechanisms.run_mechanism`, so its schedule is the
+scalar one.  The greedy first-best column is computed for the whole block
 by :func:`schedmech.assignment.greedy_makespans`.  The block size changes
 no number in a report.  ``threads`` is accepted but has no effect.
 
@@ -34,18 +38,19 @@ import numpy as np
 
 from . import __version__
 
-# first_best_makespan_greedy is no longer called here; the name stays
-# importable from this module because perfbench's tracer tests look it up.
-from .assignment import UNSCHEDULED, first_best_makespan_greedy, greedy_makespans  # noqa: F401
-from .distributions import DistributionSpec
-from .instances import Instance, sample_instance
-from .mechanisms import (
-    MechanismConfig,
-    derive_reserve,
-    overload_cap,
-    partition_sizes,
-    run_mechanism,
+# first_best_makespan_greedy and sample_instance are no longer called here;
+# the names stay importable from this module because perfbench's tracer
+# tests look them up.
+from .assignment import (  # noqa: F401
+    UNSCHEDULED,
+    argmin_assignment,
+    available_machines,
+    first_best_makespan_greedy,
+    greedy_makespans,
 )
+from .distributions import DistributionSpec
+from .instances import Instance, runtime_sampler, sample_instance  # noqa: F401
+from .mechanisms import MechanismConfig, derive_reserve, overload_cap, run_mechanism, stage_ranges
 from .optbounds import OptEstimate, opt_reference, reduced_machine_count
 
 __all__ = [
@@ -217,68 +222,127 @@ def _resolve_mechanism(cfg: ExperimentConfig) -> MechanismConfig:
     return replace(mech, beta=beta)
 
 
-def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, inst: Instance, outcome):
-    sched = outcome.schedule
-    scheduled = sched.assignment != UNSCHEDULED
-    if scheduled.any():
-        top = inst.runtimes[scheduled, sched.assignment[scheduled]].max()
-        if sched.makespan < top - _INVARIANT_TOL:
-            raise InvariantViolation("makespan fell below the largest scheduled runtime")
+@dataclass
+class _Block:
+    """A block's schedules: ``assignment`` is ``(B, n)``, ``loads`` and
+    ``works`` are ``(B, m)``, ``top`` is each trial's largest scheduled
+    runtime (-inf when none is) and ``bound`` marks the trials where a
+    capacitated stage's argmin broke its cap."""
+
+    assignment: np.ndarray
+    loads: np.ndarray
+    works: np.ndarray
+    top: np.ndarray
+    bound: np.ndarray
+
+
+def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, block: _Block):
+    """Every trial of the block: makespan at least its largest scheduled
+    runtime, and the cap and completeness re-derived from the config."""
+    if (block.works.max(axis=1) < block.top - _INVARIANT_TOL).any():
+        raise InvariantViolation("makespan fell below the largest scheduled runtime")
     if mech.kind == "bounded-overload":
-        if sched.loads.max() > overload_cap(cfg.n, cfg.m, mech.c):
+        if block.loads.max() > overload_cap(cfg.n, cfg.m, mech.c):
             raise InvariantViolation("a machine exceeded the overload cap")
-    if mech.kind == "sieve-bounded-overload" and sched.n_unscheduled:
+    if mech.kind == "sieve-bounded-overload" and (block.assignment == UNSCHEDULED).any():
         raise InvariantViolation("combined mechanism left a job unscheduled")
 
 
-def _run_trial(cfg: ExperimentConfig, mech: MechanismConfig, index: int, runtimes_out: np.ndarray):
-    """One trial: its row without the greedy column, and its paired-reference
-    statistics.  The instance's runtimes are copied into ``runtimes_out``."""
-    seed = derive_trial_seed(cfg.master_seed, _TRIAL_STREAM, index)
-    rng = np.random.default_rng(seed)
-    inst = sample_instance(cfg.job_specs, cfg.m, rng)
-    outcome = run_mechanism(mech, inst, compute_payments=False)
-    _check_invariants(cfg, mech, inst, outcome)
-    sched = outcome.schedule
-    runtimes_out[...] = inst.runtimes
+def _over_cap(trial: np.ndarray, machine: np.ndarray, shape: tuple[int, int], cap) -> np.ndarray:
+    """Which of ``shape[0]`` trials load a machine beyond ``cap`` (one value
+    or one per trial), given each placed job's trial and machine."""
+    trials, m = shape
+    loads = np.bincount(trial * m + machine, minlength=trials * m).reshape(trials, m)
+    return (loads > np.reshape(cap, (-1, 1))).any(axis=1)
 
-    stage1 = stage2 = None
-    if mech.kind == "sieve-bounded-overload":
-        m1, _ = partition_sizes(cfg.m, mech.delta)
-        stage1 = float(sched.works[:m1].max())
-        stage2 = float(sched.works[m1:].max())
 
-    fields = dict(
-        trial=index,
-        makespan=sched.makespan,
-        total_work=sched.total_work,
-        max_load=int(sched.loads.max()),
-        stage1_makespan=stage1,
-        stage2_makespan=stage2,
-        seed=seed,
-    )
+def _schedule_block(mech: MechanismConfig, specs, ranges, runtimes: np.ndarray) -> _Block:
+    """The mechanism on every trial of ``runtimes`` (``(B, n, m)``), whose
+    ranges are ``ranges`` (from :func:`stage_ranges`).
 
-    paired_stats = None
-    delta = cfg.reference_delta
-    if cfg.paired and delta is not None:
-        machines = reduced_machine_count(cfg.m, delta)
-        best = inst.runtimes[:, :machines].min(axis=1)
-        paired_stats = (float(best.max()), float(best.sum() / machines))
-    return fields, paired_stats
+    Each stage is its argmin rule over the whole block.  A trial in which a
+    capacitated stage's argmin breaks the cap is run through
+    :func:`run_mechanism` on its own instead, so its schedule is exactly
+    the scalar one.  Loads and works are one ``bincount`` over the block,
+    with each bin summed in job order as in ``schedule_from_assignment``.
+    """
+    trials, n, m = runtimes.shape
+    first, then = ranges
+    assignment = argmin_assignment(runtimes, available_machines(m, first), first.reserve)
+    bound = np.zeros(trials, dtype=bool)
+    if first.cap is not None:
+        trial, job = np.nonzero(assignment != UNSCHEDULED)
+        bound |= _over_cap(trial, assignment[trial, job], (trials, m), first.cap)
+    if then is not None:
+        trial, job = np.nonzero(assignment == UNSCHEDULED)
+        leftovers = np.bincount(trial, minlength=trials)
+        second = then(1)  # its machines do not depend on the leftover count
+        placed = argmin_assignment(runtimes[trial, job], available_machines(m, second), second.reserve)
+        caps = [then(int(u)).cap if u else 1 for u in leftovers]
+        bound |= _over_cap(trial, placed, (trials, m), caps)
+        assignment[trial, job] = placed
+    for b in np.flatnonzero(bound):
+        outcome = run_mechanism(mech, Instance(runtimes[b], specs), compute_payments=False)
+        assignment[b] = outcome.schedule.assignment
+
+    placed = assignment != UNSCHEDULED
+    chosen = np.take_along_axis(runtimes, np.maximum(assignment, 0)[..., None], axis=2)[..., 0]
+    trial, job = np.nonzero(placed)
+    flat = trial * m + assignment[trial, job]
+    loads = np.bincount(flat, minlength=trials * m).reshape(trials, m)
+    works = np.bincount(flat, weights=chosen[trial, job], minlength=trials * m)
+    works = works.reshape(trials, m).astype(float, copy=False)  # int when no job is placed
+    top = np.where(placed, chosen, -np.inf).max(axis=1)
+    return _Block(assignment, loads, works, top, bound)
 
 
 def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
-    block = max(1, _BLOCK_CELLS // (cfg.n * cfg.m))
-    buffer = np.empty((min(block, cfg.trials), cfg.n, cfg.m))
+    """Rows, paired-reference statistics and the number of trials in which
+    a cap bound, one block of trials at a time."""
+    n, m = cfg.n, cfg.m
+    specs = cfg.job_specs
+    sample = runtime_sampler(specs)
+    block = max(1, _BLOCK_CELLS // (n * m))
+    buffer = np.empty((min(block, cfg.trials), n, m))
+    first, then = stage_ranges(mech, n, m)
+    in_first = np.zeros(m, dtype=bool)
+    in_first[available_machines(m, first)] = True
+    delta = cfg.reference_delta
+    reduced = reduced_machine_count(m, delta) if cfg.paired and delta is not None else None
     rows, paired = [], []
+    bound_trials = 0
     for start in range(0, cfg.trials, block):
         count = min(block, cfg.trials - start)
-        trials = [_run_trial(cfg, mech, start + b, buffer[b]) for b in range(count)]
-        greedy = greedy_makespans(buffer[:count])
-        for (fields, stats), value in zip(trials, greedy):
-            rows.append(ReportRow(greedy_first_best=float(value), **fields))
-            paired.append(stats)
-    return rows, paired
+        runtimes = buffer[:count]
+        seeds = [derive_trial_seed(cfg.master_seed, _TRIAL_STREAM, start + b) for b in range(count)]
+        for out, seed in zip(runtimes, seeds):
+            sample(np.random.default_rng(seed), out)
+        # min and max catch a NaN too, without a temporary the block's size
+        if not (runtimes.min() >= 0 and np.isfinite(runtimes.max())):
+            raise ValueError("runtimes must be finite and nonnegative")
+
+        sched = _schedule_block(mech, specs, (first, then), runtimes)
+        _check_invariants(cfg, mech, sched)
+        bound_trials += int(sched.bound.sum())
+        stage1 = stage2 = [None] * count
+        if then is not None:
+            stage1 = sched.works[:, in_first].max(axis=1).tolist()
+            stage2 = sched.works[:, ~in_first].max(axis=1).tolist()
+        columns = zip(
+            range(start, start + count),
+            sched.works.max(axis=1).tolist(),
+            sched.works.sum(axis=1).tolist(),
+            sched.loads.max(axis=1).tolist(),
+            stage1,
+            stage2,
+            greedy_makespans(runtimes).tolist(),
+            seeds,
+        )
+        rows.extend(ReportRow(*values) for values in columns)
+        if reduced is not None:
+            best = runtimes[:, :, :reduced].min(axis=2)
+            paired.extend(zip(best.max(axis=1).tolist(), (best.sum(axis=1) / reduced).tolist()))
+    return rows, paired, bound_trials
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -289,7 +353,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     mech = _resolve_mechanism(cfg)
-    rows, paired = _run_trials(cfg, mech)
+    rows, paired, _ = _run_trials(cfg, mech)
 
     makespans = np.array([r.makespan for r in rows])
     msp_mean, msp_se = _mean_se(makespans)
@@ -321,11 +385,13 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
             if cfg.trials > 1:
                 cov = float(np.cov(makespans, ref_samples, ddof=1)[0, 1]) / cfg.trials
             ratio = msp_mean / ref_mean
-            var = ratio**2 * (
-                (msp_se / msp_mean) ** 2
-                + (ref_se / ref_mean) ** 2
-                - 2.0 * cov / (msp_mean * ref_mean)
-            )
+            var = 0.0  # a zero mean makespan is every makespan 0: no spread
+            if msp_mean:
+                var = ratio**2 * (
+                    (msp_se / msp_mean) ** 2
+                    + (ref_se / ref_mean) ** 2
+                    - 2.0 * cov / (msp_mean * ref_mean)
+                )
             ratio_se = math.sqrt(max(var, 0.0))
             aggregate["reference_chosen_bound"] = kind
         else:

@@ -132,7 +132,7 @@ class Exponential(DistributionSpec):
             return -np.log1p(-u) / self.rate
 
     def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size)
+        return rng.standard_exponential(size) * (1.0 / self.rate)
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .distributions import DistributionSpec, parse_distribution
 __all__ = [
     "Instance",
     "sample_instance",
+    "runtime_sampler",
     "best_runtime",
     "rank_runtime",
     "preference_order",
@@ -67,10 +68,32 @@ def sample_instance(
         raise ValueError("need at least one job spec")
     if m < 1:
         raise ValueError("need at least one machine")
+    return Instance(runtime_sampler(specs)(rng, np.empty((len(specs), m))), specs)
+
+
+def runtime_sampler(
+    specs: Sequence[DistributionSpec],
+) -> Callable[[np.random.Generator, np.ndarray], np.ndarray]:
+    """The draws of :func:`sample_instance`, as a function that fills an
+    ``(n, m)`` array from a generator and returns it: one ``(n, m)`` draw
+    when every job has the same spec object, else one m-vector per row in
+    job order.  The values are not validated."""
+    specs = tuple(specs)
     if all(s is specs[0] for s in specs):
-        return Instance(np.asarray(specs[0].sample(rng, (len(specs), m))), specs)
-    rows = [spec.sample(rng, m) for spec in specs]
-    return Instance(np.vstack(rows), specs)
+        spec = specs[0]
+
+        def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+            out[...] = spec.sample(rng, out.shape)
+            return out
+
+    else:
+
+        def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+            for row, spec in zip(out, specs):
+                row[...] = spec.sample(rng, row.size)
+            return out
+
+    return fill
 
 
 def best_runtime(inst: Instance, j: int, machines: Iterable[int] | None = None) -> float:

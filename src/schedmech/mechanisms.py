@@ -44,7 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .assignment import (
     InfeasibleError,
     RangeConstraint,
     Schedule,
+    argmin_assignment,
     check_capacity,
     schedule_from_assignment,
     schedule_objective,
@@ -70,6 +71,7 @@ __all__ = [
     "IcViolation",
     "overload_cap",
     "partition_sizes",
+    "stage_ranges",
     "run_minimum_work",
     "run_bounded_overload",
     "run_sieve",
@@ -184,37 +186,54 @@ class _Stage:
         return _stage_payments(self)
 
 
+def stage_ranges(
+    config: MechanismConfig, n: int, m: int
+) -> tuple[RangeConstraint, Callable[[int], RangeConstraint] | None]:
+    """The mechanism's ranges on n jobs and m machines; the one branch on
+    ``config.kind``.
+
+    Returns the first stage's range and, for the combined mechanism, the
+    rule that gives the overload stage's range from the number of jobs the
+    sieve leaves over (None for the single-stage mechanisms).
+    """
+    if config.uses_reserve and config.beta is None:
+        raise ValueError(f"{config.kind} requires an explicit reserve beta")
+    if config.kind == "minimum-work":
+        return RangeConstraint(), None
+    if config.kind == "bounded-overload":
+        return RangeConstraint(cap=overload_cap(n, m, config.c)), None
+    if config.kind == "sieve":
+        return RangeConstraint(reserve=config.beta), None
+    if config.delta is None:
+        raise ValueError("sieve-bounded-overload requires a partition delta")
+    m1, m2 = partition_sizes(m, config.delta)
+
+    def overload(leftovers: int) -> RangeConstraint:
+        # m2 * cap >= leftovers, so every leftover job is scheduled here.
+        cap = max(1, _ceil_tol(config.c * leftovers / m2))
+        return RangeConstraint(cap=cap, excluded=frozenset(range(m1)))
+
+    return RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m))), overload
+
+
 def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
-    """The mechanism's stages in run order; the one branch on ``config.kind``.
+    """The mechanism's stages in run order, with the ranges of
+    :func:`stage_ranges`.
 
     A generator, so a caller that stops at the first stage never solves it;
     the combined mechanism's overload stage needs the sieve's schedule, and
     is skipped when the sieve leaves no job over.
     """
-    n, m = inst.n, inst.m
-    jobs = np.arange(n)
-    if config.uses_reserve and config.beta is None:
-        raise ValueError(f"{config.kind} requires an explicit reserve beta")
-    if config.kind == "minimum-work":
-        yield _Stage(jobs, inst, RangeConstraint())
-    elif config.kind == "bounded-overload":
-        yield _Stage(jobs, inst, RangeConstraint(cap=overload_cap(n, m, config.c)))
-    elif config.kind == "sieve":
-        yield _Stage(jobs, inst, RangeConstraint(reserve=config.beta))
-    else:
-        if config.delta is None:
-            raise ValueError("sieve-bounded-overload requires a partition delta")
-        m1, m2 = partition_sizes(m, config.delta)
-        sieve_rc = RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m)))
-        sieve = _Stage(jobs, inst, sieve_rc, "sieve")
-        yield sieve
-        leftover = np.flatnonzero(sieve.schedule.assignment == UNSCHEDULED)
-        if leftover.size:
-            # m2 * cap >= leftover, so every leftover job is scheduled here.
-            cap = max(1, _ceil_tol(config.c * leftover.size / m2))
-            sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
-            overload_rc = RangeConstraint(cap=cap, excluded=frozenset(range(m1)))
-            yield _Stage(leftover, sub, overload_rc, "overload")
+    first, then = stage_ranges(config, inst.n, inst.m)
+    if then is None:
+        yield _Stage(np.arange(inst.n), inst, first)
+        return
+    sieve = _Stage(np.arange(inst.n), inst, first, "sieve")
+    yield sieve
+    leftover = np.flatnonzero(sieve.schedule.assignment == UNSCHEDULED)
+    if leftover.size:
+        sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
+        yield _Stage(leftover, sub, then(leftover.size), "overload")
 
 
 @dataclass(frozen=True, eq=False)
@@ -539,16 +558,20 @@ def last_entry_rank(inst: Instance, c: float, j: int) -> int:
 
     Runs bounded overload on every job except j (same cap as the full
     instance), then walks j's preference list to the first machine with a
-    free slot.  Pigeonhole keeps the answer at or below ceil(m / c).
+    free slot.  Pigeonhole keeps the answer at or below ceil(m / c).  When
+    the other jobs' argmins fit the cap they are that schedule, so their
+    loads are the full instance's argmin loads less job j; only otherwise
+    is the capacitated problem solved.
     """
     n, m = inst.n, inst.m
     cap = overload_cap(n, m, c)
-    others = np.delete(np.arange(n), j)
-    if others.size:
+    argmins = argmin_assignment(inst.runtimes, np.arange(m))
+    loads = np.bincount(argmins, minlength=m)
+    loads[argmins[j]] -= 1
+    if loads.max() > cap:
+        others = np.delete(np.arange(n), j)
         sub = Instance(inst.runtimes[others], tuple(inst.specs[i] for i in others))
         loads = solve_min_work(sub, RangeConstraint(cap=cap)).loads
-    else:
-        loads = np.zeros(m, dtype=int)
     for rank, machine in enumerate(preference_order(inst, j), start=1):
         if loads[machine] < cap:
             return rank

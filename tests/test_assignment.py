@@ -7,7 +7,8 @@ from schedmech.assignment import (
     UNSCHEDULED,
     InfeasibleError,
     RangeConstraint,
-    _available,
+    argmin_assignment,
+    available_machines,
     brute_force_min_work,
     first_best_makespan_exact,
     first_best_makespan_greedy,
@@ -17,6 +18,8 @@ from schedmech.assignment import (
 )
 from schedmech.distributions import Exponential, TwoPoint, Uniform
 from schedmech.instances import Instance, sample_instance
+
+from scalar_oracles import scalar_greedy
 
 SPEC = Uniform(0.0, 1000.0)
 
@@ -230,20 +233,6 @@ def test_greedy_upper_bounds_exact():
         )
 
 
-def scalar_greedy(runtimes):
-    """The one-instance greedy loop, kept as the reference for the batched
-    greedy: longest best runtime first, each job on the first machine that
-    minimizes the resulting work."""
-    n, m = runtimes.shape
-    best = runtimes.min(axis=1)
-    order = sorted(range(n), key=lambda j: (-best[j], j))
-    works = np.zeros(m)
-    for j in order:
-        i = int(np.argmin(works + runtimes[j]))
-        works[i] += runtimes[j, i]
-    return float(works.max())
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     blocks=st.integers(1, 5),
@@ -272,8 +261,38 @@ def test_available_machines_match_set_difference(m, excluded, reserve):
     expected = np.setdiff1d(np.arange(m), np.fromiter(excluded, dtype=int, count=len(excluded)))
     if expected.size == 0 and reserve is None:
         with pytest.raises(InfeasibleError, match="no machines available"):
-            _available(m, rc)
+            available_machines(m, rc)
         return
-    avail = _available(m, rc)
+    avail = available_machines(m, rc)
     assert avail.dtype == expected.dtype
     assert avail.tolist() == expected.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    blocks=st.integers(1, 4),
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    excluded=st.frozensets(st.integers(0, 5), max_size=5),
+    reserve=st.sampled_from([None, 0.0, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_argmin_equals_each_matrix_alone(blocks, n, m, excluded, reserve, seed):
+    # twopoint rows tie often, on the argmin and on the reserve; an excluded
+    # machine in the middle makes the available set non-contiguous
+    rc = RangeConstraint(reserve=reserve, excluded=excluded)
+    if len(excluded & set(range(m))) == m and reserve is None:
+        return
+    avail = available_machines(m, rc)
+    rng = np.random.default_rng(seed)
+    stack = np.where(rng.random((blocks, n, m)) < 0.5, 1.0, 10.0)
+    stacked = argmin_assignment(stack, avail, reserve)
+    assert stacked.shape == (blocks, n)
+    for runtimes, row in zip(stack, stacked):
+        expected = []
+        for job in runtimes:
+            best = min(avail, key=lambda i: (job[i], i)) if avail.size else None
+            on_dummy = best is None or (reserve is not None and job[best] > reserve)
+            expected.append(UNSCHEDULED if on_dummy else int(best))
+        assert row.tolist() == expected
+        assert solve_min_work(make_instance(runtimes), rc).assignment.tolist() == expected

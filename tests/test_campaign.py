@@ -1,13 +1,14 @@
+import contextlib
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from schedmech import campaign
-from schedmech.assignment import first_best_makespan_greedy
 from schedmech.campaign import (
     REPORT_COLUMNS,
     CampaignResult,
@@ -23,6 +24,9 @@ from schedmech.cli import entrypoint, main
 from schedmech.distributions import Exponential, TwoPoint, Uniform, parse_distribution
 from schedmech.instances import sample_instance
 from schedmech.mechanisms import MechanismConfig, partition_sizes, run_mechanism
+from schedmech.optbounds import reduced_machine_count
+
+from scalar_oracles import scalar_greedy
 
 
 def config(**overrides):
@@ -64,10 +68,14 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
         assert paths[0] == paths[1]
 
 
-def recomputed_rows(cfg):
-    """Each trial on its own, through the scalar path: seed, sample, run."""
+def recomputed(cfg):
+    """Each trial on its own, through the scalar path: seed, sample, run.
+
+    Returns the rows, and each trial's worst-best and average-best runtime
+    on the paired reference's machines (empty without a paired reference).
+    """
     mech = cfg.mechanism
-    rows = []
+    rows, worst, average = [], [], []
     for t in range(cfg.trials):
         seed = derive_trial_seed(cfg.master_seed, 0, t)
         inst = sample_instance(cfg.job_specs, cfg.m, np.random.default_rng(seed))
@@ -76,47 +84,152 @@ def recomputed_rows(cfg):
         if mech.kind == "sieve-bounded-overload":
             m1, _ = partition_sizes(cfg.m, mech.delta)
             stages = (float(sched.works[:m1].max()), float(sched.works[m1:].max()))
-        greedy = first_best_makespan_greedy(inst)
+        greedy = scalar_greedy(inst.runtimes)
         rows.append(
             (t, sched.makespan, sched.total_work, int(sched.loads.max()), *stages, greedy, seed)
         )
-    return rows
+        if cfg.paired:
+            machines = reduced_machine_count(cfg.m, cfg.reference_delta)
+            best = inst.runtimes[:, :machines].min(axis=1)
+            worst.append(float(best.max()))
+            average.append(float(best.sum() / machines))
+    return rows, worst, average
 
 
-# c = 1.1 keeps the overload cap tight, so the LSA path runs in most trials.
-MECHANISMS = (
-    MechanismConfig("minimum-work"),
-    MechanismConfig("bounded-overload", c=1.1),
-    MechanismConfig("sieve", beta=0.5),
-    MechanismConfig("sieve-bounded-overload", c=1.1, beta=0.5, delta=0.5),
-)
+def recomputed_rows(cfg):
+    return recomputed(cfg)[0]
 
 
-@settings(max_examples=40, deadline=None)
+def assert_paired_aggregate(aggregate, cfg, worst, average):
+    """The paired reference's mean, SE and chosen bound, and the ratio."""
+    def mean_se(values):
+        values = np.array(values)
+        se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+        return float(values.mean()), float(se)
+
+    (wb, wb_se), (ab, ab_se) = mean_se(worst), mean_se(average)
+    kind, mean, se = ("worst-best", wb, wb_se) if wb >= ab else ("average-best", ab, ab_se)
+    assert aggregate["reference_chosen_bound"] == kind
+    assert aggregate["reference_mean"] == mean
+    assert aggregate["reference_se"] == se
+    assert aggregate["ratio"] == aggregate["mean_makespan"] / mean
+
+
+PER_JOB = (Exponential(1.0), TwoPoint(0.2, 1.0, 0.5), Uniform(0.0, 1.0), Exponential(2.5))
+
+
+def campaign_mechanism(kind, c, beta):
+    if kind == "minimum-work":
+        return MechanismConfig(kind)
+    if kind == "bounded-overload":
+        return MechanismConfig(kind, c=c)
+    if kind == "sieve":
+        return MechanismConfig(kind, beta=beta)
+    return MechanismConfig(kind, c=c, beta=beta, delta=0.5)
+
+
+# c = 1.1 keeps the overload cap tight, so the LSA path runs in most trials;
+# at c = 1.5 a block mixes trials whose argmin fits the cap with trials where
+# it binds.  beta = 0 leaves every job over for the overload stage, 1e9 none.
+@settings(max_examples=80, deadline=None)
 @given(
-    mech=st.sampled_from(MECHANISMS),
+    kind=st.sampled_from(("minimum-work", "bounded-overload", "sieve", "sieve-bounded-overload")),
+    c=st.sampled_from([1.1, 1.5]),
+    beta=st.sampled_from([0.0, 0.5, 1e9]),
     block=st.integers(1, 4),
     offset=st.sampled_from([-1, 0, 1]),
     n=st.integers(1, 7),
     m=st.integers(2, 5),
-    dist=st.sampled_from([Exponential(1.0), TwoPoint(0.2, 1.0, 0.5)]),
+    dist=st.sampled_from(["exp", "twopoint", "per-job"]),
+    paired=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_campaign_rows_equal_per_trial_recomputation(mech, block, offset, n, m, dist, seed):
+def test_campaign_rows_equal_per_trial_recomputation(
+    kind, c, beta, block, offset, n, m, dist, paired, seed
+):
+    mech = campaign_mechanism(kind, c, beta)
+    assume(dist != "per-job" or not mech.uses_reserve)
+    specs = {
+        "exp": Exponential(1.0),
+        "twopoint": TwoPoint(0.2, 1.0, 0.5),
+        "per-job": tuple(PER_JOB[j % len(PER_JOB)] for j in range(n)),
+    }[dist]
     # trials = B - 1, B and B + 1 around a block of B trials; B - 1 = 0 becomes 1
     trials = max(1, block + offset)
-    cfg = config(mechanism=mech, dist=dist, n=n, m=m, trials=trials, master_seed=seed,
-                 reference="none")
+    cfg = config(mechanism=mech, dist=specs, n=n, m=m, trials=trials, master_seed=seed,
+                 reference="opt-half" if paired else "none", paired=paired)
     with mock.patch.object(campaign, "_BLOCK_CELLS", block * n * m):
-        rows = run_campaign(cfg).rows
-    assert [row.as_tuple() for row in rows] == recomputed_rows(cfg)
+        result = run_campaign(cfg)
+    rows, worst, average = recomputed(cfg)
+    # repr tells 0 from 0.0, as the report does
+    assert [repr(row.as_tuple()) for row in result.rows] == [repr(row) for row in rows]
+    if paired:
+        assert_paired_aggregate(result.aggregate, cfg, worst, average)
 
 
 def test_campaign_rows_equal_per_trial_recomputation_at_default_block():
-    # n = m = 64 makes the default block 32 trials; 33 spans two blocks
+    # n = m = 64 makes the default block 32 trials; 33 spans two blocks.  At
+    # c = 1.5 some trials of a block bind and others do not.
     block = campaign._BLOCK_CELLS // (64 * 64)
-    cfg = config(mechanism=MECHANISMS[1], n=64, m=64, trials=block + 1)
-    assert [row.as_tuple() for row in run_campaign(cfg).rows] == recomputed_rows(cfg)
+    for c in (1.1, 1.5):
+        cfg = config(mechanism=MechanismConfig("bounded-overload", c=c), n=64, m=64,
+                     trials=block + 1, paired=True)
+        result = run_campaign(cfg)
+        rows, worst, average = recomputed(cfg)
+        assert [row.as_tuple() for row in result.rows] == rows
+        assert_paired_aggregate(result.aggregate, cfg, worst, average)
+
+
+@pytest.mark.parametrize("n, m, c", [(1, 4, 1.5), (8, 8, 1.5)])
+def test_block_path_checks_the_cap_it_did_not_set(n, m, c):
+    # the invariant re-derives the cap; one below the mechanism's must fail.
+    # With one job no trial can bind, so the check is on the block's own
+    # schedules: the scalar fallback must not even run.
+    cfg = config(mechanism=MechanismConfig("bounded-overload", c=c), n=n, m=m, trials=40,
+                 reference="none")
+    true_cap = campaign.overload_cap(n, m, c)
+    assert max(row.max_load for row in run_campaign(cfg).rows) == true_cap
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(campaign, "overload_cap", lambda n, m, c: true_cap - 1)
+        )
+        if n == 1:
+            stack.enter_context(
+                mock.patch.object(campaign, "run_mechanism", side_effect=AssertionError)
+            )
+        with pytest.raises(campaign.InvariantViolation, match="overload cap"):
+            run_campaign(cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("kind", ["bounded-overload", "sieve-bounded-overload"])
+def test_bad_sampled_runtime_raises_value_error(bad, kind):
+    # one bad cell, in the second block's last trial
+    original = Exponential.sample
+    calls = []
+
+    def sample(self, rng, size=None):
+        values = original(self, rng, size)
+        calls.append(None)
+        if len(calls) == 6:
+            values[-1, -1] = bad
+        return values
+
+    mech = MechanismConfig(kind, c=7.0, beta=0.5, delta=0.5)
+    cfg = config(mechanism=mech, n=4, m=4, trials=8, reference="none")
+    with mock.patch.object(campaign, "_BLOCK_CELLS", 3 * 4 * 4), \
+            mock.patch.object(Exponential, "sample", sample):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_campaign(cfg)
+    assert len(calls) == 6
+
+
+def test_paired_reference_with_every_makespan_zero():
+    # a sieve at beta = 0 schedules no job, so every makespan is 0
+    result = run_campaign(config(mechanism=MechanismConfig("sieve", beta=0.0), paired=True))
+    assert {row.makespan for row in result.rows} == {0.0}
+    assert result.aggregate["ratio"] == 0.0
+    assert result.aggregate["ratio_se"] == 0.0
 
 
 def test_rows_carry_expected_fields():

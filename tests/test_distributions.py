@@ -115,6 +115,18 @@ def test_exponential_sample_mean_matches_closed_form():
     assert abs(draws.mean() - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("rate", [1.0, 2.5, 0.3])
+@pytest.mark.parametrize("size", [None, 7, (64, 64), (512, 32)])
+def test_exponential_sample_is_numpys_exponential_bit_for_bit(rate, size):
+    # the sampler scales standard draws; numpy's exponential(scale) does the
+    # same, so every campaign's instances are unchanged
+    for seed in (0, 1, 12345):
+        ours = np.asarray(Exponential(rate).sample(RNG(seed), size))
+        numpys = np.asarray(RNG(seed).exponential(1.0 / rate, size))
+        assert ours.dtype == numpys.dtype and ours.shape == numpys.shape
+        assert ours.tobytes() == numpys.tobytes()
+
+
 def test_uniform_support():
     draws = Uniform(0.0, 1.0).sample(RNG(2), 10**5)
     assert draws.min() >= 0.0 and draws.max() <= 1.0

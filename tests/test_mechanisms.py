@@ -38,6 +38,8 @@ from schedmech.mechanisms import (
     sample_geometric_rank,
 )
 
+from scalar_oracles import last_entry_rank_by_solve
+
 SPEC = Uniform(0.0, 1000.0)
 
 
@@ -450,6 +452,22 @@ def test_last_entry_rank_upper_bound_and_dominates_mechanism_runtime():
         assert 1 <= rank <= bound
         mech_runtime = inst.runtimes[j, outcome.schedule.assignment[j]]
         assert mech_runtime <= rank_runtime(inst, j, rank) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    m=st.integers(1, 6),
+    c=st.sampled_from([1.05, 1.5, 2.0, 7.0]),
+    family=st.sampled_from([TwoPoint(1.0, 10.0, 0.5), TwoPoint(1.0, 10.0, 0.1), Exponential(1.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_last_entry_rank_equals_the_solve_without_the_job(n, m, c, family, seed):
+    # small c on twopoint rows makes the cap bind, so both the shortcut and
+    # the solve run; the ties exercise the lowest-index rule on both
+    inst = sample_instance([family] * n, m, np.random.default_rng(seed))
+    for j in range(n):
+        assert last_entry_rank(inst, c, j) == last_entry_rank_by_solve(inst, c, j)
 
 
 # ------------------------------------------------------------ geometric rank
