@@ -19,7 +19,10 @@ by :func:`schedmech.assignment.greedy_makespans`.  The block size changes
 no number in a report.  ``threads`` is accepted but has no effect.
 
 Report layout (CSV): `#`-prefixed header lines carry the configuration
-echo, a version string and the aggregate statistics; then one row per trial
+echo, a version string and the aggregate statistics (among them the
+deterministic counter ``cap_bound_trials``: the trials in which a
+capacitated stage's argmin broke its cap, so that the scalar path ran);
+then one row per trial
 with columns ``trial,makespan,total_work,max_load,stage1_makespan,
 stage2_makespan,greedy_first_best,seed`` (empty fields where a column does
 not apply).  The JSON format mirrors the same fields.
@@ -353,7 +356,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     mech = _resolve_mechanism(cfg)
-    rows, paired, _ = _run_trials(cfg, mech)
+    rows, paired, cap_bound_trials = _run_trials(cfg, mech)
 
     makespans = np.array([r.makespan for r in rows])
     msp_mean, msp_se = _mean_se(makespans)
@@ -363,6 +366,8 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
         "se_makespan": msp_se,
         "mean_total_work": float(np.mean([r.total_work for r in rows])),
         "mean_max_load": float(np.mean([r.max_load for r in rows])),
+        # trials in which a capacitated stage's argmin broke its cap
+        "cap_bound_trials": cap_bound_trials,
     }
 
     reference = None

@@ -232,6 +232,42 @@ def test_paired_reference_with_every_makespan_zero():
     assert result.aggregate["ratio_se"] == 0.0
 
 
+def recounted_cap_bound_trials(cfg):
+    """Trials whose capacitated stage's argmin breaks its cap, recounted
+    from each trial's freshly sampled instance."""
+    mech, n, m = cfg.mechanism, cfg.n, cfg.m
+    count = 0
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, 0, t))
+        runtimes = sample_instance(cfg.job_specs, m, rng).runtimes
+        if mech.kind == "bounded-overload":
+            rows, first, cap = runtimes, 0, math.ceil(mech.c * n / m - 1e-9)
+        else:
+            m1 = m - partition_sizes(m, mech.delta)[1]
+            rows, first = runtimes[runtimes[:, :m1].min(axis=1) > mech.beta], m1
+            cap = max(1, math.ceil(mech.c * len(rows) / (m - m1) - 1e-9))
+        loads = np.bincount(rows[:, first:].argmin(axis=1), minlength=m - first)
+        count += bool(loads.max(initial=0) > cap)
+    return count
+
+
+@pytest.mark.parametrize(
+    "mech, n, m",
+    [
+        (MechanismConfig("bounded-overload", c=1.5), 8, 8),
+        (MechanismConfig("sieve-bounded-overload", c=1.5, beta=0.3, delta=0.5), 16, 8),
+    ],
+)
+def test_cap_bound_trials_equal_a_per_trial_recount(mech, n, m):
+    # c = 1.5 makes blocks of 7 trials mix binding and non-binding ones
+    cfg = config(mechanism=mech, n=n, m=m, trials=120, master_seed=5, reference="none")
+    with mock.patch.object(campaign, "_BLOCK_CELLS", 7 * n * m):
+        aggregate = run_campaign(cfg).aggregate
+    expected = recounted_cap_bound_trials(cfg)
+    assert 10 < expected < 110
+    assert aggregate["cap_bound_trials"] == expected
+
+
 def test_rows_carry_expected_fields():
     result = run_campaign(config(trials=5))
     assert len(result.rows) == 5
