@@ -278,10 +278,11 @@ def _schedule_block(mech: MechanismConfig, specs, ranges, runtimes: np.ndarray) 
         bound |= _over_cap(trial, assignment[trial, job], (trials, m), first.cap)
     if then is not None:
         trial, job = np.nonzero(assignment == UNSCHEDULED)
-        leftovers = np.bincount(trial, minlength=trials)
-        second = then(1)  # its machines do not depend on the leftover count
-        placed = argmin_assignment(runtimes[trial, job], available_machines(m, second), second.reserve)
-        caps = [then(int(u)).cap if u else 1 for u in leftovers]
+        second = then(1)  # only its cap depends on the number of leftovers
+        placed = argmin_assignment(
+            runtimes[trial, job], available_machines(m, second), second.reserve
+        )
+        caps = [then(int(u)).cap if u else 1 for u in np.bincount(trial, minlength=trials)]
         bound |= _over_cap(trial, placed, (trials, m), caps)
         assignment[trial, job] = placed
     for b in np.flatnonzero(bound):
