@@ -225,49 +225,36 @@ def _resolve_mechanism(cfg: ExperimentConfig) -> MechanismConfig:
     return replace(mech, beta=beta)
 
 
-@dataclass
-class _Block:
-    """A block's schedules: ``assignment`` is ``(B, n)``, ``loads`` and
-    ``works`` are ``(B, m)``, ``top`` is each trial's largest scheduled
-    runtime (-inf when none is) and ``bound`` marks the trials where a
-    capacitated stage's argmin broke its cap."""
-
-    assignment: np.ndarray
-    loads: np.ndarray
-    works: np.ndarray
-    top: np.ndarray
-    bound: np.ndarray
-
-
-def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, block: _Block):
-    """Every trial of the block: makespan at least its largest scheduled
-    runtime, and the cap and completeness re-derived from the config."""
-    if (block.works.max(axis=1) < block.top - _INVARIANT_TOL).any():
+def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, assignment, loads, works, top):
+    """Every trial of a block: makespan at least its largest scheduled
+    runtime ``top``, and the cap and completeness re-derived from the config."""
+    if (works.max(axis=1) < top - _INVARIANT_TOL).any():
         raise InvariantViolation("makespan fell below the largest scheduled runtime")
     if mech.kind == "bounded-overload":
-        if block.loads.max() > overload_cap(cfg.n, cfg.m, mech.c):
+        if loads.max() > overload_cap(cfg.n, cfg.m, mech.c):
             raise InvariantViolation("a machine exceeded the overload cap")
-    if mech.kind == "sieve-bounded-overload" and (block.assignment == UNSCHEDULED).any():
+    if mech.kind == "sieve-bounded-overload" and (assignment == UNSCHEDULED).any():
         raise InvariantViolation("combined mechanism left a job unscheduled")
 
 
-def _over_cap(trial: np.ndarray, machine: np.ndarray, shape: tuple[int, int], cap) -> np.ndarray:
-    """Which of ``shape[0]`` trials load a machine beyond ``cap`` (one value
-    or one per trial), given each placed job's trial and machine."""
+def _per_machine(trial: np.ndarray, machine: np.ndarray, shape: tuple[int, int], weights=None):
+    """``(B, m)`` job counts, or sums of ``weights``, of the jobs placed on
+    ``machine`` in ``trial``; each bin adds in the order of the jobs given."""
     trials, m = shape
-    loads = np.bincount(trial * m + machine, minlength=trials * m).reshape(trials, m)
-    return (loads > np.reshape(cap, (-1, 1))).any(axis=1)
+    return np.bincount(trial * m + machine, weights, minlength=trials * m).reshape(trials, m)
 
 
-def _schedule_block(mech: MechanismConfig, specs, ranges, runtimes: np.ndarray) -> _Block:
+def _schedule_block(cfg: ExperimentConfig, mech: MechanismConfig, ranges, runtimes: np.ndarray):
     """The mechanism on every trial of ``runtimes`` (``(B, n, m)``), whose
-    ranges are ``ranges`` (from :func:`stage_ranges`).
+    ranges are ``ranges`` (from :func:`stage_ranges`): each trial's loads
+    and works, ``(B, m)``, and which trials had a capacitated stage whose
+    argmin broke its cap.
 
-    Each stage is its argmin rule over the whole block.  A trial in which a
-    capacitated stage's argmin breaks the cap is run through
-    :func:`run_mechanism` on its own instead, so its schedule is exactly
-    the scalar one.  Loads and works are one ``bincount`` over the block,
-    with each bin summed in job order as in ``schedule_from_assignment``.
+    Each stage is its argmin rule over the whole block.  A trial in which
+    the cap binds is run through :func:`run_mechanism` on its own instead,
+    so its schedule is exactly the scalar one.  Loads and works are one
+    ``bincount`` over the block in (trial, job) order, so each sum adds in
+    the order of ``schedule_from_assignment``.
     """
     trials, n, m = runtimes.shape
     first, then = ranges
@@ -275,37 +262,37 @@ def _schedule_block(mech: MechanismConfig, specs, ranges, runtimes: np.ndarray) 
     bound = np.zeros(trials, dtype=bool)
     if first.cap is not None:
         trial, job = np.nonzero(assignment != UNSCHEDULED)
-        bound |= _over_cap(trial, assignment[trial, job], (trials, m), first.cap)
+        bound |= (_per_machine(trial, assignment[trial, job], (trials, m)) > first.cap).any(axis=1)
     if then is not None:
         trial, job = np.nonzero(assignment == UNSCHEDULED)
         second = then(1)  # only its cap depends on the number of leftovers
         placed = argmin_assignment(
             runtimes[trial, job], available_machines(m, second), second.reserve
         )
-        caps = [then(int(u)).cap if u else 1 for u in np.bincount(trial, minlength=trials)]
-        bound |= _over_cap(trial, placed, (trials, m), caps)
+        caps = [[then(int(u)).cap if u else 1] for u in np.bincount(trial, minlength=trials)]
+        bound |= (_per_machine(trial, placed, (trials, m)) > np.array(caps)).any(axis=1)
         assignment[trial, job] = placed
     for b in np.flatnonzero(bound):
-        outcome = run_mechanism(mech, Instance(runtimes[b], specs), compute_payments=False)
+        outcome = run_mechanism(mech, Instance(runtimes[b], cfg.job_specs), compute_payments=False)
         assignment[b] = outcome.schedule.assignment
 
     placed = assignment != UNSCHEDULED
     chosen = np.take_along_axis(runtimes, np.maximum(assignment, 0)[..., None], axis=2)[..., 0]
     trial, job = np.nonzero(placed)
-    flat = trial * m + assignment[trial, job]
-    loads = np.bincount(flat, minlength=trials * m).reshape(trials, m)
-    works = np.bincount(flat, weights=chosen[trial, job], minlength=trials * m)
-    works = works.reshape(trials, m).astype(float, copy=False)  # int when no job is placed
+    machine = assignment[trial, job]
+    loads = _per_machine(trial, machine, (trials, m))
+    # float even when no job is placed, where bincount gives ints
+    works = _per_machine(trial, machine, (trials, m), chosen[trial, job]).astype(float, copy=False)
     top = np.where(placed, chosen, -np.inf).max(axis=1)
-    return _Block(assignment, loads, works, top, bound)
+    _check_invariants(cfg, mech, assignment, loads, works, top)
+    return loads, works, bound
 
 
 def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
     """Rows, paired-reference statistics and the number of trials in which
     a cap bound, one block of trials at a time."""
     n, m = cfg.n, cfg.m
-    specs = cfg.job_specs
-    sample = runtime_sampler(specs)
+    sample = runtime_sampler(cfg.job_specs)
     block = max(1, _BLOCK_CELLS // (n * m))
     buffer = np.empty((min(block, cfg.trials), n, m))
     first, then = stage_ranges(mech, n, m)
@@ -325,18 +312,17 @@ def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
         if not (runtimes.min() >= 0 and np.isfinite(runtimes.max())):
             raise ValueError("runtimes must be finite and nonnegative")
 
-        sched = _schedule_block(mech, specs, (first, then), runtimes)
-        _check_invariants(cfg, mech, sched)
-        bound_trials += int(sched.bound.sum())
+        loads, works, bound = _schedule_block(cfg, mech, (first, then), runtimes)
+        bound_trials += int(bound.sum())
         stage1 = stage2 = [None] * count
         if then is not None:
-            stage1 = sched.works[:, in_first].max(axis=1).tolist()
-            stage2 = sched.works[:, ~in_first].max(axis=1).tolist()
+            stage1 = works[:, in_first].max(axis=1).tolist()
+            stage2 = works[:, ~in_first].max(axis=1).tolist()
         columns = zip(
             range(start, start + count),
-            sched.works.max(axis=1).tolist(),
-            sched.works.sum(axis=1).tolist(),
-            sched.loads.max(axis=1).tolist(),
+            works.max(axis=1).tolist(),
+            works.sum(axis=1).tolist(),
+            loads.max(axis=1).tolist(),
             stage1,
             stage2,
             greedy_makespans(runtimes).tolist(),

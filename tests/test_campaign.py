@@ -96,11 +96,7 @@ def recomputed(cfg):
     return rows, worst, average
 
 
-def recomputed_rows(cfg):
-    return recomputed(cfg)[0]
-
-
-def assert_paired_aggregate(aggregate, cfg, worst, average):
+def assert_paired_aggregate(aggregate, worst, average):
     """The paired reference's mean, SE and chosen bound, and the ratio."""
     def mean_se(values):
         values = np.array(values)
@@ -164,7 +160,7 @@ def test_campaign_rows_equal_per_trial_recomputation(
     # repr tells 0 from 0.0, as the report does
     assert [repr(row.as_tuple()) for row in result.rows] == [repr(row) for row in rows]
     if paired:
-        assert_paired_aggregate(result.aggregate, cfg, worst, average)
+        assert_paired_aggregate(result.aggregate, worst, average)
 
 
 def test_campaign_rows_equal_per_trial_recomputation_at_default_block():
@@ -177,7 +173,7 @@ def test_campaign_rows_equal_per_trial_recomputation_at_default_block():
         result = run_campaign(cfg)
         rows, worst, average = recomputed(cfg)
         assert [row.as_tuple() for row in result.rows] == rows
-        assert_paired_aggregate(result.aggregate, cfg, worst, average)
+        assert_paired_aggregate(result.aggregate, worst, average)
 
 
 @pytest.mark.parametrize("n, m, c", [(1, 4, 1.5), (8, 8, 1.5)])
