@@ -68,6 +68,7 @@ __all__ = [
     "parse_report",
     "version_string",
     "derive_trial_seed",
+    "resolve_reserve",
 ]
 
 REFERENCES = ("none", "opt-half", "opt-third", "opt-delta-half")
@@ -213,16 +214,16 @@ def derive_trial_seed(master_seed: int, stream: int, index: int) -> int:
     return int(state[0]) | (int(state[1]) << 32)
 
 
-def _resolve_mechanism(cfg: ExperimentConfig) -> MechanismConfig:
-    mech = cfg.mechanism
+def resolve_reserve(
+    mech: MechanismConfig, spec: DistributionSpec, n: int, m: int
+) -> MechanismConfig:
+    """``mech`` with a missing reserve filled in by the count-target rule at
+    its tuning parameter ``k``."""
     if not mech.uses_reserve or mech.beta is not None:
         return mech
     if mech.k is None:
         raise ValueError(f"{mech.kind} needs --beta or the tuning parameter --k")
-    spec = cfg.job_specs[0]
-    rng = np.random.default_rng(derive_trial_seed(cfg.master_seed, _REFERENCE_STREAM, 1))
-    beta = derive_reserve(spec, cfg.n, cfg.m, rule="count-target", k=mech.k, rng=rng)
-    return replace(mech, beta=beta)
+    return replace(mech, beta=derive_reserve(spec, n, m, rule="count-target", k=mech.k))
 
 
 def _check_invariants(cfg: ExperimentConfig, mech: MechanismConfig, assignment, loads, works, top):
@@ -342,7 +343,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
-    mech = _resolve_mechanism(cfg)
+    mech = resolve_reserve(cfg.mechanism, cfg.job_specs[0], cfg.n, cfg.m)
     rows, paired, cap_bound_trials = _run_trials(cfg, mech)
 
     makespans = np.array([r.makespan for r in rows])

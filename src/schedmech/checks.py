@@ -198,12 +198,11 @@ def check_order_stat_dominance(
     alpha = alpha_quantile(spec, m)
 
     query = OrderStatQuery(spec, i, m)
-    lhs = _sample_chunked(lambda c: sample_order_stat(query, rng, c), trials, m)
-    per_trial = copies * (1 if spec.is_continuous else half)
+    lhs = _sample_chunked(lambda c: sample_order_stat(query, rng, c), trials, 1)
     rhs = _sample_chunked(
         lambda c: np.maximum(alpha, sample_min_of_k(spec, half, rng, (c, copies)).max(axis=1)),
         trials,
-        per_trial,
+        copies,
     )
 
     grid = _grid(alpha, np.concatenate([lhs, rhs]))
@@ -613,7 +612,7 @@ def check_sieve_unscheduled(
     rng: np.random.Generator,
 ) -> CountCheck:
     """Mean unscheduled count under the count-target reserve vs k*m."""
-    beta = derive_reserve(spec, n, m, rule="count-target", k=k, rng=rng)
+    beta = derive_reserve(spec, n, m, rule="count-target", k=k)
     counts = np.empty(trials)
     specs = [spec] * n
     for t in range(trials):

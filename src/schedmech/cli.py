@@ -24,6 +24,7 @@ from .campaign import (
     InvariantViolation,
     derive_trial_seed,
     emit_report,
+    resolve_reserve,
     run_campaign,
 )
 from .checks import (
@@ -43,7 +44,6 @@ from .mechanisms import (
     MECHANISM_KINDS,
     MechanismConfig,
     PaymentInfeasibleError,
-    derive_reserve,
     ic_audit,
 )
 from .optbounds import expected_average_best, expected_worst_best, opt_reference
@@ -200,6 +200,8 @@ def _one_hot_joint(n: int) -> FiniteJoint:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 2:
+        raise ValueError("verify needs --trials >= 2 for its standard errors")
     records = _verify_records(args.lemma, args.trials, args.seed)
     lines = "\n".join(json.dumps(rec, sort_keys=True) for rec in records) + "\n"
     if args.out is None:
@@ -216,13 +218,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_ic_audit(args: argparse.Namespace) -> int:
     spec = parse_distribution(args.dist)
-    mech = _mechanism_config(args)
-    if mech.uses_reserve and mech.beta is None:
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, 7)))
-        beta = derive_reserve(
-            spec, args.n, args.m, rule="count-target", k=mech.k or 1.0, rng=rng
-        )
-        mech = MechanismConfig(mech.kind, mech.c, beta, mech.delta, mech.k)
+    mech = resolve_reserve(_mechanism_config(args), spec, args.n, args.m)
     violations = []
     for t in range(args.trials):
         rng = np.random.default_rng(derive_trial_seed(args.seed, 2, t))

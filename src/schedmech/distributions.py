@@ -10,6 +10,12 @@ Five families cover the regimes the scheduling mechanisms care about:
   step-CDF handling everywhere quantiles appear.
 * :class:`Empirical` -- file-driven sample set with the usual step CDF.
 
+Every family's ``quantile`` is the generalized inverse of its CDF, so order
+statistics are sampled exactly by one rule for all of them: the i-th
+smallest of k draws is ``Q(U_(i))`` with ``U_(i) ~ Beta(i, k - i + 1)``
+(David and Nagaraja, *Order Statistics*, 2003, section 2.1).  The reserve
+statistic E[min of k draws] has a closed form for every family.
+
 All specs are immutable and freely shareable across threads.  Sampling
 always draws from a caller-owned :class:`numpy.random.Generator`; there is
 no hidden global randomness.  Compact string forms (``exp:1.0``,
@@ -33,18 +39,13 @@ __all__ = [
     "TwoPoint",
     "Empirical",
     "OrderStatQuery",
-    "MinEstimate",
     "parse_distribution",
     "sample_min_of_k",
     "sample_order_stat",
     "expected_min",
     "alpha_quantile",
     "min_of_k_cdf",
-    "DEFAULT_MC_TRIALS",
 ]
-
-# Default Monte Carlo budget for expected_min on families without a closed form.
-DEFAULT_MC_TRIALS = 100_000
 
 
 class DistributionSpec:
@@ -56,7 +57,6 @@ class DistributionSpec:
     """
 
     family: str = "?"
-    is_continuous: bool = False
 
     @property
     def mhr(self) -> bool:
@@ -100,7 +100,6 @@ class Exponential(DistributionSpec):
     rate: float
 
     family = "exponential"
-    is_continuous = True
 
     def __post_init__(self):
         if not (self.rate > 0):
@@ -149,7 +148,6 @@ class Uniform(DistributionSpec):
     hi: float
 
     family = "uniform"
-    is_continuous = True
 
     def __post_init__(self):
         if not (0 <= self.lo < self.hi):
@@ -200,7 +198,6 @@ class Pareto(DistributionSpec):
     scale: float
 
     family = "pareto"
-    is_continuous = True
 
     def __post_init__(self):
         if not (self.shape > 0 and self.scale > 0):
@@ -256,7 +253,6 @@ class TwoPoint(DistributionSpec):
     p_high: float
 
     family = "two-point"
-    is_continuous = False
 
     def __post_init__(self):
         if not (0 <= self.low < self.high):
@@ -299,7 +295,6 @@ class Empirical(DistributionSpec):
     path: str | None = None
 
     family = "empirical"
-    is_continuous = False
 
     def __post_init__(self):
         vals = np.sort(np.asarray(self.values, dtype=float))
@@ -366,7 +361,10 @@ def parse_distribution(text: str) -> DistributionSpec:
         return TwoPoint(low, high, p_high)
     if head == "empirical":
         path = body.strip()
-        lines = Path(path).read_text().split()
+        try:
+            lines = Path(path).read_text().split()
+        except OSError as exc:
+            raise ValueError(f"cannot read empirical sample {path!r}: {exc.strerror}") from exc
         return Empirical(np.array([float(x) for x in lines]), path=path)
     raise ValueError(f"unknown distribution family {head!r}")
 
@@ -385,85 +383,54 @@ class OrderStatQuery:
 
 
 def sample_min_of_k(spec: DistributionSpec, k: int, rng: np.random.Generator, size=None):
-    """Draw the minimum of ``k`` i.i.d. draws.
+    """Draw the minimum of ``k`` i.i.d. draws, exactly, as ``Q(1 - (1 - U)^(1/k))``.
 
-    Continuous strictly-increasing CDFs use the one-uniform inverse-CDF
-    shortcut ``Q(1 - (1 - U)^(1/k))``; step CDFs draw the k values literally
-    so no inverse-function edge case can bias the atoms.
+    The minimum's CDF is ``1 - (1 - F)^k``; pushing one uniform through its
+    inverse and then through the family's generalized inverse ``Q`` gives the
+    minimum's law for continuous and step CDFs alike.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if spec.is_continuous:
-        u = rng.random(size)
-        out = spec.quantile(1.0 - (1.0 - u) ** (1.0 / k))
-        return float(out) if size is None else out
-    if size is None:
-        return float(np.min(spec.sample(rng, (k,))))
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    return spec.sample(rng, shape + (k,)).min(axis=-1)
+    u = rng.random(size)
+    out = spec.quantile(1.0 - (1.0 - u) ** (1.0 / k))
+    return float(out) if size is None else out
 
 
 def sample_order_stat(q: OrderStatQuery, rng: np.random.Generator, size=None):
-    """Draw the i-th smallest of k draws, distributionally exact."""
+    """Draw the i-th smallest of k draws, exactly, as ``Q(Beta(i, k - i + 1))``.
+
+    The minimum keeps :func:`sample_min_of_k`'s one-uniform stream.
+    """
     if q.i == 1:
         return sample_min_of_k(q.spec, q.k, rng, size)
-    if size is None:
-        draws = q.spec.sample(rng, (q.k,))
-        return float(np.partition(draws, q.i - 1)[q.i - 1])
-    shape = (size,) if np.isscalar(size) else tuple(size)
-    draws = q.spec.sample(rng, shape + (q.k,))
-    return np.partition(draws, q.i - 1, axis=-1)[..., q.i - 1]
+    out = q.spec.quantile(rng.beta(q.i, q.k - q.i + 1, size))
+    return float(out) if size is None else out
 
 
-@dataclass(frozen=True)
-class MinEstimate:
-    """Point estimate of E[min of k draws], with its standard error.
+def expected_min(spec: DistributionSpec, k: int) -> float:
+    """The reserve statistic: E[minimum of k i.i.d. draws], in closed form.
 
-    ``exact`` estimates carry a zero standard error and ignored trial count.
-    """
-
-    value: float
-    standard_error: float
-    trials: int
-    exact: bool
-
-
-def expected_min(
-    spec: DistributionSpec,
-    k: int,
-    trials: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> MinEstimate:
-    """The reserve statistic: E[minimum of k i.i.d. draws].
-
-    Exponential, uniform and two-point admit closed forms and return exact
-    values.  Pareto and empirical are estimated by Monte Carlo with a
-    caller-supplied trial budget (default ``DEFAULT_MC_TRIALS``) and require
-    a random generator.
+    Infinite when the minimum has no finite mean (Pareto with k * shape <= 1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if isinstance(spec, Exponential):
-        return MinEstimate(1.0 / (k * spec.rate), 0.0, 0, True)
+        return 1.0 / (k * spec.rate)
     if isinstance(spec, Uniform):
-        return MinEstimate(spec.lo + (spec.hi - spec.lo) / (k + 1), 0.0, 0, True)
+        return spec.lo + (spec.hi - spec.lo) / (k + 1)
     if isinstance(spec, TwoPoint):
         # min of k draws is `high` only when every draw is high
-        value = spec.low + (spec.high - spec.low) * spec.p_high**k
-        return MinEstimate(value, 0.0, 0, True)
-    if trials is None:
-        trials = DEFAULT_MC_TRIALS
-    if trials <= 0:
-        raise ValueError(f"{spec.family} has no closed form; a Monte Carlo budget is required")
-    if rng is None:
-        raise ValueError(f"{spec.family} has no closed form; a random generator is required")
-    samples = sample_min_of_k(spec, k, rng, trials)
-    return MinEstimate(
-        float(np.mean(samples)),
-        float(np.std(samples, ddof=1) / math.sqrt(trials)),
-        trials,
-        False,
-    )
+        return spec.low + (spec.high - spec.low) * spec.p_high**k
+    if isinstance(spec, Pareto):
+        # min of k draws is Pareto(k * shape, scale)
+        return Pareto(k * spec.shape, spec.scale).mean
+    if isinstance(spec, Empirical):
+        # the minimum is the i-th sorted value when every draw has index >= i
+        # and not every draw has index >= i + 1
+        n = spec.values.size
+        at_least = ((n - np.arange(n + 1)) / n) ** k
+        return float(spec.values @ (at_least[:-1] - at_least[1:]))
+    raise ValueError(f"no closed form for E[min] of {spec.family}")
 
 
 def alpha_quantile(spec: DistributionSpec, m: int) -> float:

@@ -505,13 +505,10 @@ def derive_reserve(
     delta: float | None = None,
     rule: str = "sqrt-log",
     k: float | None = None,
-    trials: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """Reserve beta from the job-size distribution under a named tuning.
 
-    ``trials``/``rng`` feed Monte Carlo estimation of E[min of ...] for
-    families without a closed form.
+    Raises ``ValueError`` when the E[min of ...] it scales is infinite.
     """
     if rule not in RESERVE_RULES:
         raise ValueError(f"unknown reserve rule {rule!r}")
@@ -525,12 +522,12 @@ def derive_reserve(
                 f"count-target tuning expects k < ln m (k={k}, ln m={math.log(m):.3f})",
                 stacklevel=2,
             )
-        tau = expected_min(spec, m, trials=trials, rng=rng).value
+        tau = _finite_expected_min(spec, m)
         return n * tau / (k * m)
     if delta is None:
         raise ValueError(f"{rule} rule needs the partition delta")
     draws = max(1, _round_half_up(0.5 * delta * m))
-    tau = expected_min(spec, draws, trials=trials, rng=rng).value
+    tau = _finite_expected_min(spec, draws)
     beta = n / (m * math.log(m)) * tau
     if rule == "log-log":
         if n < m * math.log(m):
@@ -540,6 +537,13 @@ def derive_reserve(
             )
         beta *= 2.0
     return beta
+
+
+def _finite_expected_min(spec: DistributionSpec, k: int) -> float:
+    tau = expected_min(spec, k)
+    if not math.isfinite(tau):
+        raise ValueError(f"E[min of {k}] of {spec.spec_string} is infinite; no finite reserve")
+    return tau
 
 
 def default_partition(rule: str, m: int) -> float:

@@ -40,3 +40,10 @@ def last_entry_rank_by_solve(inst, c, j):
         if loads[machine] < cap:
             return rank
     raise AssertionError("no free slot")
+
+
+def literal_order_stat(spec, i, k, rng, size):
+    """The i-th smallest of k literal draws, ``size`` times: the reference
+    for the library's inverse-CDF order-statistic samplers."""
+    draws = spec.sample(rng, (size, k))
+    return np.partition(draws, i - 1, axis=1)[:, i - 1]

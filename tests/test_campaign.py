@@ -501,6 +501,14 @@ def test_cli_ic_audit(capsys):
     assert summary["violations"] == []
 
 
+def test_cli_ic_audit_derives_the_reserve_like_simulate(capsys):
+    # the count-target reserve at --k, as simulate derives it; the sieve is truthful
+    rc = main(["ic-audit", "--mechanism", "sieve", "--k", "0.5", "--n", "4", "--m", "3",
+               "--trials", "2", "--seed", "5"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
 def test_cli_bounds(capsys):
     rc = main(["bounds", "--dist", "exp:1.0", "--n", "4", "--m", "4",
                "--delta", "0.5", "--trials", "2000", "--seed", "6"])
@@ -525,6 +533,15 @@ def test_cli_dist_parsing_matches_api():
              "--trials", "2"],
             "is infeasible",
         ),
+        (
+            ["simulate", "--mechanism", "sieve", "--k", "1", "--dist", "pareto:0.3,2", "--n", "4",
+             "--m", "3", "--trials", "2"],
+            "is infinite",
+        ),
+        (["simulate", "--dist", "empirical:/nonexistent/sizes.txt"], "cannot read empirical"),
+        (["verify", "--lemma", "mhr-scaling", "--trials", "0"], "--trials >= 2"),
+        (["verify", "--lemma", "random-copies", "--trials", "1"], "--trials >= 2"),
+        (["ic-audit", "--mechanism", "sieve", "--trials", "2"], "needs --beta or"),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):

@@ -263,7 +263,7 @@ def test_sieve_unscheduled_exponential():
 
 
 def test_sieve_unscheduled_huge_reserve_leaves_nothing():
-    # pareto with k tiny drives beta huge; nothing passes the threshold
+    # a tiny k drives beta huge; nothing passes the threshold
     rng = RNG(17)
     check = check_sieve_unscheduled(Exponential(1.0), 20, 4, 0.05, 200, rng)
     assert check.mean == 0.0

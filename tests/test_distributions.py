@@ -1,12 +1,13 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from schedmech.distributions import (
-    DEFAULT_MC_TRIALS,
     Empirical,
     Exponential,
     OrderStatQuery,
@@ -20,6 +21,8 @@ from schedmech.distributions import (
     sample_min_of_k,
     sample_order_stat,
 )
+
+from scalar_oracles import literal_order_stat
 
 RNG = lambda seed=0: np.random.default_rng(seed)
 
@@ -87,6 +90,11 @@ def test_parse_empirical(tmp_path):
     assert isinstance(spec, Empirical)
     assert list(spec.values) == [0.25, 1.5, 3.0]
     assert spec.spec_string == f"empirical:{path}"
+
+
+def test_parse_empirical_missing_file_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="cannot read empirical sample"):
+        parse_distribution(f"empirical:{tmp_path / 'absent.txt'}")
 
 
 def test_parse_rejects_garbage():
@@ -177,7 +185,7 @@ def test_order_stat_query_validation():
         OrderStatQuery(Exponential(1.0), 4, 3)
 
 
-def test_min_of_k_two_point_uses_literal_draws():
+def test_min_of_k_two_point_high_atom_frequency():
     # P(min of 3 = high) = p^3 = 0.125
     spec = TwoPoint(1.0, 10.0, 0.5)
     draws = sample_min_of_k(spec, 3, RNG(8), 10**5)
@@ -185,14 +193,51 @@ def test_min_of_k_two_point_uses_literal_draws():
     assert abs(frac_high - 0.125) < 0.004  # ~4 binomial SEs
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TwoPoint(1.0, 10.0, 0.5),
+        TwoPoint(0.0, 2.0, 0.8),
+        Empirical(np.array([0.5, 1.0, 1.0, 3.0, 4.0])),
+    ],
+    ids=["twopoint-half", "twopoint-skewed", "empirical"],
+)
+@pytest.mark.parametrize("i, k", [(1, 2), (1, 5), (2, 3), (3, 3), (2, 5), (4, 6)])
+def test_atomic_order_stat_matches_literal_draws_chi_square(spec, i, k):
+    # two-sample chi-square on the atom counts at the 0.1% level
+    n = 20_000
+    ours = sample_order_stat(OrderStatQuery(spec, i, k), RNG(100 * i + k), n)
+    reference = literal_order_stat(spec, i, k, RNG(200 * i + k), n)
+    atoms = np.unique(np.concatenate([ours, reference]))
+    counts = [[np.count_nonzero(draws == a) for a in atoms] for draws in (ours, reference)]
+    assert chi2_contingency(counts).pvalue >= 1e-3
+
+
+@pytest.mark.parametrize("spec", [Exponential(1.3), Uniform(0.5, 2.0), Pareto(2.0, 1.0)])
+@pytest.mark.parametrize("i, k", [(2, 2), (2, 3), (3, 5), (5, 8)])
+def test_continuous_order_stat_matches_literal_draws_within_dkw(spec, i, k):
+    n = 50_000
+    ours = np.sort(sample_order_stat(OrderStatQuery(spec, i, k), RNG(300 * i + k), n))
+    reference = np.sort(literal_order_stat(spec, i, k, RNG(400 * i + k), n))
+    grid = np.quantile(reference, np.linspace(0.01, 0.99, 99))
+    gap = np.searchsorted(ours, grid, side="right") - np.searchsorted(reference, grid, side="right")
+    band = math.sqrt(math.log(2 / 0.01) / (2 * n))
+    assert np.max(np.abs(gap)) / n <= 2 * band
+
+
+def test_order_stat_scalar_draw_is_a_float():
+    q = OrderStatQuery(Empirical(np.array([1.0, 2.0, 5.0])), 2, 3)
+    assert isinstance(sample_order_stat(q, RNG(11)), float)
+    assert isinstance(sample_min_of_k(TwoPoint(1.0, 2.0, 0.5), 3, RNG(12)), float)
+
+
 # -------------------------------------------------------------- expected_min
 
 
 def test_expected_min_closed_forms():
-    assert expected_min(Exponential(1.0), 10).value == pytest.approx(0.1, abs=1e-15)
-    assert expected_min(Uniform(0.0, 1.0), 3).value == pytest.approx(0.25, abs=1e-15)
-    est = expected_min(Exponential(1.0), 10)
-    assert est.exact and est.standard_error == 0.0
+    assert expected_min(Exponential(1.0), 10) == pytest.approx(0.1, abs=1e-15)
+    assert expected_min(Uniform(0.0, 1.0), 3) == pytest.approx(0.25, abs=1e-15)
+    assert isinstance(expected_min(Empirical(np.array([1.0, 2.0])), 2), float)
 
 
 def test_expected_min_two_point_by_enumeration():
@@ -201,23 +246,28 @@ def test_expected_min_two_point_by_enumeration():
     outcomes = [(a, b) for a in (1.0, 10.0) for b in (1.0, 10.0)]
     oracle = sum(min(a, b) for a, b in outcomes) / 4.0
     assert oracle == 3.25
-    assert expected_min(spec, 2).value == pytest.approx(3.25, abs=1e-12)
+    assert expected_min(spec, 2) == pytest.approx(3.25, abs=1e-12)
 
 
-def test_expected_min_pareto_monte_carlo():
-    # oracle: min of k Pareto(a, s) is Pareto(k*a, s) with mean k*a*s/(k*a - 1)
-    spec = Pareto(2.0, 1.0)
-    est = expected_min(spec, 3, rng=RNG(9))
-    assert not est.exact and est.trials == DEFAULT_MC_TRIALS
-    oracle = 6.0 / 5.0
-    assert abs(est.value - oracle) < 4 * est.standard_error + 1e-3
+@pytest.mark.parametrize(
+    "values",
+    [[4.0], [3.0, 0.5], [2.0, 2.0, 7.0], [0.0, 1.0, 1.0, 3.0], [5.0, 0.25, 9.0, 1.5, 1.5]],
+)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_expected_min_empirical_by_full_enumeration(values, k):
+    # oracle: every one of the N^k equally likely draws, enumerated
+    outcomes = [min(draw) for draw in itertools.product(values, repeat=k)]
+    oracle = sum(outcomes) / len(outcomes)
+    assert expected_min(Empirical(np.array(values)), k) == pytest.approx(oracle, rel=1e-12)
 
 
-def test_expected_min_requires_budget_without_closed_form():
-    with pytest.raises(ValueError):
-        expected_min(Pareto(2.0, 1.0), 3, trials=0, rng=RNG())
-    with pytest.raises(ValueError):
-        expected_min(Empirical(np.array([1.0, 2.0])), 2)  # no rng supplied
+@pytest.mark.parametrize("shape, scale", [(2.0, 1.0), (0.3, 2.0), (1.0, 3.0), (0.5, 1.5)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 10])
+def test_expected_min_pareto_closed_form(shape, scale, k):
+    # oracle: min of k Pareto(a, s) is Pareto(k*a, s), mean k*a*s/(k*a - 1) when k*a > 1
+    a = k * shape
+    oracle = a * scale / (a - 1) if a > 1 else math.inf
+    assert expected_min(Pareto(shape, scale), k) == pytest.approx(oracle, rel=1e-12)
 
 
 # ------------------------------------------------------------ alpha quantile
