@@ -18,6 +18,9 @@ pins the lexicographic (job index, machine index) tie-break on that path.
 
 ``brute_force_min_work`` enumerates every feasible assignment and is the
 independent oracle for the solver; it never shares code with the fast path.
+
+Every function takes a runtime matrix, finite and nonnegative as ``Instance``
+or the campaign's block check made sure; nothing here checks it again.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-from .instances import Instance
 
 __all__ = [
     "UNSCHEDULED",
@@ -104,10 +105,6 @@ class Schedule:
     @property
     def n_unscheduled(self) -> int:
         return int(np.sum(self.assignment == UNSCHEDULED))
-
-    @property
-    def scheduled_jobs(self) -> np.ndarray:
-        return np.flatnonzero(self.assignment != UNSCHEDULED)
 
 
 def schedule_from_assignment(runtimes: np.ndarray, assignment: np.ndarray) -> Schedule:
@@ -192,10 +189,10 @@ def argmin_assignment(
     return assignment
 
 
-def solve_min_work(inst: Instance, rc: RangeConstraint | None = None) -> Schedule:
-    """Minimum-total-work schedule within the constrained range."""
+def solve_min_work(runtimes: np.ndarray, rc: RangeConstraint | None = None) -> Schedule:
+    """Minimum-total-work schedule of a finite, nonnegative ``(n, m)``
+    runtime matrix within the constrained range."""
     rc = rc if rc is not None else RangeConstraint()
-    runtimes = inst.runtimes
     n, m = runtimes.shape
     avail = available_machines(m, rc)
     check_capacity(n, avail.size, rc)
@@ -240,14 +237,13 @@ def _prefer_machines_on_reserve_ties(runtimes, assignment, avail, rc):
     return assignment
 
 
-def brute_force_min_work(inst: Instance, rc: RangeConstraint | None = None) -> Schedule:
+def brute_force_min_work(runtimes: np.ndarray, rc: RangeConstraint | None = None) -> Schedule:
     """Exhaustive oracle: enumerate every feasible assignment.
 
     Enumeration is in lexicographic (job, machine) order with the dummy as
     the highest choice, so the first optimum found is the canonical one.
     """
     rc = rc if rc is not None else RangeConstraint()
-    runtimes = inst.runtimes
     n, m = runtimes.shape
     avail = available_machines(m, rc)
     choices: list[int] = [int(i) for i in avail]
@@ -284,12 +280,11 @@ def brute_force_min_work(inst: Instance, rc: RangeConstraint | None = None) -> S
     return schedule_from_assignment(runtimes, np.array(best))
 
 
-def first_best_makespan_exact(inst: Instance) -> float:
+def first_best_makespan_exact(runtimes: np.ndarray) -> float:
     """Minimum makespan over all assignments, no incentive constraints."""
-    n, m = inst.n, inst.m
+    n, m = runtimes.shape
     if m**n > ENUMERATION_LIMIT:
         raise InfeasibleError(f"{m}^{n} assignments exceed the enumeration guard")
-    runtimes = inst.runtimes
     works = np.zeros(m)
     best = math.inf
 
@@ -309,13 +304,13 @@ def first_best_makespan_exact(inst: Instance) -> float:
     return best
 
 
-def first_best_makespan_greedy(inst: Instance) -> float:
+def first_best_makespan_greedy(runtimes: np.ndarray) -> float:
     """Longest-best-runtime-first greedy placement; an upper bound reference.
 
     Jobs are placed in decreasing order of their best runtime, each on the
     machine that minimizes the resulting work.
     """
-    return float(greedy_makespans(inst.runtimes[None])[0])
+    return float(greedy_makespans(runtimes[None])[0])
 
 
 def greedy_makespans(runtimes: np.ndarray) -> np.ndarray:

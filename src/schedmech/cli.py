@@ -217,6 +217,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ic_audit(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("need trials >= 1")
     spec = parse_distribution(args.dist)
     mech = resolve_reserve(_mechanism_config(args), spec, args.n, args.m)
     violations = []
@@ -241,6 +243,8 @@ def _cmd_ic_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    if args.trials < 2:
+        raise ValueError("bounds needs --trials >= 2 for its standard errors")
     spec = parse_distribution(args.dist)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     wb = expected_worst_best(spec, args.n, args.m, args.trials, rng)

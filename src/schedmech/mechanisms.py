@@ -14,13 +14,14 @@ built from exact total-work minimizers over fixed outcome ranges:
   sieve runs first, then bounded overload schedules its leftovers on the
   second set.
 
-Each minimizer is a stage: a job subset, its sub-instance and its range,
-with the machines outside the stage excluded from the range.  The first
-three mechanisms are one stage; the combined one chains two, the second
-built from the first's leftovers.  :func:`_stages` is the one place that
-turns a :class:`MechanismConfig` into stages; the runner, the payments and
-the audit all work on what it yields.  Payments are stage-local: a
-machine's pivot removes it from its own stage only.
+Each minimizer is a stage: a job subset, its runtime rows (a plain matrix;
+only the caller's ``Instance`` is validated) and its range, with the machines
+outside the stage excluded from the range.  The first three mechanisms are
+one stage; the combined one chains two, the second built from the first's
+leftovers.  :func:`_stages` is the one place that turns a
+:class:`MechanismConfig` into stages; the runner, the payments and the audit
+all work on what it yields.  Payments are stage-local: a machine's pivot
+removes it from its own stage only.
 
 A machine's pivot is the stage's optimum with the machine excluded from
 the range, not a fake infinite report.  It is not re-solved:
@@ -54,6 +55,7 @@ from .assignment import (
     RangeConstraint,
     Schedule,
     argmin_assignment,
+    available_machines,
     check_capacity,
     schedule_from_assignment,
     schedule_objective,
@@ -161,7 +163,7 @@ def partition_sizes(m: int, delta: float) -> tuple[int, int]:
 class _Stage:
     """One exact total-work minimization inside a mechanism.
 
-    ``inst`` holds the rows of ``jobs`` (indices into the full instance);
+    ``runtimes`` holds the rows of ``jobs`` (indices into the full instance);
     machines outside the stage are in ``rc.excluded``.  ``label`` names the
     stage in the per-job labels of the combined mechanism and is None for
     the single-stage ones.  The schedule and the payments are computed on
@@ -169,17 +171,17 @@ class _Stage:
     """
 
     jobs: np.ndarray
-    inst: Instance
+    runtimes: np.ndarray
     rc: RangeConstraint
     label: str | None = None
 
     @cached_property
     def schedule(self) -> Schedule:
-        return solve_min_work(self.inst, self.rc)
+        return solve_min_work(self.runtimes, self.rc)
 
     @cached_property
     def machines(self) -> np.ndarray:
-        return np.array([i for i in range(self.inst.m) if i not in self.rc.excluded], dtype=int)
+        return available_machines(self.runtimes.shape[1], self.rc)
 
     @cached_property
     def payments(self) -> np.ndarray:
@@ -226,14 +228,13 @@ def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
     """
     first, then = stage_ranges(config, inst.n, inst.m)
     if then is None:
-        yield _Stage(np.arange(inst.n), inst, first)
+        yield _Stage(np.arange(inst.n), inst.runtimes, first)
         return
-    sieve = _Stage(np.arange(inst.n), inst, first, "sieve")
+    sieve = _Stage(np.arange(inst.n), inst.runtimes, first, "sieve")
     yield sieve
     leftover = np.flatnonzero(sieve.schedule.assignment == UNSCHEDULED)
     if leftover.size:
-        sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
-        yield _Stage(leftover, sub, then(leftover.size), "overload")
+        yield _Stage(leftover, inst.runtimes[leftover], then(leftover.size), "overload")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +258,8 @@ class Outcome:
     def ranks(self) -> np.ndarray:
         ranks = np.full(self.schedule.assignment.size, UNSCHEDULED)
         for stage in self.parts:
-            ranks[stage.jobs] = _ranks_within(stage.inst, stage.schedule.assignment, stage.machines)
+            placed = stage.schedule.assignment
+            ranks[stage.jobs] = _ranks_within(stage.runtimes, placed, stage.machines)
         return ranks
 
     @cached_property
@@ -271,18 +273,18 @@ class Outcome:
         return tuple(labels.tolist())
 
 
-def _ranks_within(inst: Instance, assignment: np.ndarray, pool: np.ndarray) -> np.ndarray:
+def _ranks_within(runtimes: np.ndarray, assignment: np.ndarray, pool: np.ndarray) -> np.ndarray:
     """1-based preference rank of each job's machine among the pool machines.
 
     Rank follows the preference order with ties broken toward lower machine
     indices, matching :func:`schedmech.instances.preference_order`.
     """
-    ranks = np.full(inst.n, UNSCHEDULED)
+    ranks = np.full(runtimes.shape[0], UNSCHEDULED)
     jobs = np.flatnonzero(assignment != UNSCHEDULED)
     if jobs.size == 0:
         return ranks
-    sub = inst.runtimes[np.ix_(jobs, pool)]
-    own = inst.runtimes[jobs, assignment[jobs]]
+    sub = runtimes[np.ix_(jobs, pool)]
+    own = runtimes[jobs, assignment[jobs]]
     less = (sub < own[:, None]).sum(axis=1)
     eq_before = ((sub == own[:, None]) & (pool[None, :] < assignment[jobs, None])).sum(axis=1)
     ranks[jobs] = 1 + less + eq_before
@@ -312,7 +314,7 @@ def _stage_payments(stage: _Stage) -> np.ndarray:
     """
     own = stage.schedule
     machines = stage.machines
-    runtimes = stage.inst.runtimes
+    runtimes = stage.runtimes
     rc = stage.rc
     n, m = runtimes.shape
     check_capacity(n, machines.size - 1, rc)
@@ -573,9 +575,8 @@ def last_entry_rank(inst: Instance, c: float, j: int) -> int:
     loads = np.bincount(argmins, minlength=m)
     loads[argmins[j]] -= 1
     if loads.max() > cap:
-        others = np.delete(np.arange(n), j)
-        sub = Instance(inst.runtimes[others], tuple(inst.specs[i] for i in others))
-        loads = solve_min_work(sub, RangeConstraint(cap=cap)).loads
+        others = np.delete(inst.runtimes, j, axis=0)
+        loads = solve_min_work(others, RangeConstraint(cap=cap)).loads
     for rank, machine in enumerate(preference_order(inst, j), start=1):
         if loads[machine] < cap:
             return rank
@@ -666,7 +667,7 @@ def ic_audit(
         stage = next((s for s in parts if i not in s.rc.excluded), None)
         if stage is None:
             continue  # the sieve left no job for the overload stage
-        rc, specs, stage_true = stage.rc, stage.inst.specs, stage.inst.runtimes
+        rc, stage_true = stage.rc, stage.runtimes
         own = stage.schedule
         pivot_objective = (
             schedule_objective(own, rc) - own.works[i] + _clarke_payments(stage, machine=i)[i]
@@ -681,7 +682,7 @@ def ic_audit(
         for label, column in misreport_columns(inst.runtimes[:, i].copy()):
             reported = stage_true.copy()
             reported[:, i] = column[stage.jobs]
-            deviant = utility(solve_min_work(Instance(reported, specs), rc))
+            deviant = utility(solve_min_work(reported, rc))
             if deviant - truthful > gain_tol:
                 violations.append(IcViolation(i, label, truthful, deviant))
     return violations

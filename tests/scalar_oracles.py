@@ -7,7 +7,7 @@ paths must match, written without the library's helpers for those paths.
 import numpy as np
 
 from schedmech.assignment import RangeConstraint, solve_min_work
-from schedmech.instances import Instance, preference_order
+from schedmech.instances import preference_order
 from schedmech.mechanisms import overload_cap
 
 
@@ -30,10 +30,9 @@ def last_entry_rank_by_solve(inst, c, j):
     then walking j's preference list to the first machine with a free slot."""
     n, m = inst.n, inst.m
     cap = overload_cap(n, m, c)
-    others = np.delete(np.arange(n), j)
-    if others.size:
-        sub = Instance(inst.runtimes[others], tuple(inst.specs[i] for i in others))
-        loads = solve_min_work(sub, RangeConstraint(cap=cap)).loads
+    if n > 1:
+        others = np.delete(inst.runtimes, j, axis=0)
+        loads = solve_min_work(others, RangeConstraint(cap=cap)).loads
     else:
         loads = np.zeros(m, dtype=int)
     for rank, machine in enumerate(preference_order(inst, j), start=1):

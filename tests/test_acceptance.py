@@ -83,8 +83,8 @@ def test_c01_solver_oracle_equivalence():
         constraints = [RangeConstraint(), RangeConstraint(reserve=float(np.median(inst.runtimes)))]
         constraints += [RangeConstraint(cap=c) for c in (1, 2, 3) if c * m >= n]
         for rc in constraints:
-            fast = solve_min_work(inst, rc)
-            oracle = brute_force_min_work(inst, rc)
+            fast = solve_min_work(inst.runtimes, rc)
+            oracle = brute_force_min_work(inst.runtimes, rc)
             gap = abs(schedule_objective(fast, rc) - schedule_objective(oracle, rc))
             assert gap <= 1e-9, f"solver/oracle mismatch {gap} on n={n} m={m} rc={rc}"
             checked += 1

@@ -31,7 +31,7 @@ def make_instance(rows):
 
 def test_unconstrained_argmin_with_tie_to_lowest_index():
     inst = make_instance([[1.0, 3.0], [2.0, 2.0]])
-    sched = solve_min_work(inst)
+    sched = solve_min_work(inst.runtimes)
     assert sched.assignment.tolist() == [0, 0]
     assert sched.total_work == 3.0
     assert sched.loads.tolist() == [2, 0]
@@ -42,44 +42,44 @@ def test_unconstrained_argmin_with_tie_to_lowest_index():
 def test_capacity_one_forces_split():
     # oracle: the two feasible assignments cost 1+100=101 and 10+2=12
     inst = make_instance([[1.0, 10.0], [2.0, 100.0]])
-    sched = solve_min_work(inst, RangeConstraint(cap=1))
+    sched = solve_min_work(inst.runtimes, RangeConstraint(cap=1))
     assert sched.assignment.tolist() == [1, 0]
     assert sched.total_work == pytest.approx(12.0)
-    oracle = brute_force_min_work(inst, RangeConstraint(cap=1))
+    oracle = brute_force_min_work(inst.runtimes, RangeConstraint(cap=1))
     assert oracle.total_work == pytest.approx(12.0)
     assert oracle.assignment.tolist() == [1, 0]
 
 
 def test_reserve_threshold_semantics():
     inst = make_instance([[3.0, 4.0], [7.0, 9.0]])
-    sched = solve_min_work(inst, RangeConstraint(reserve=5.0))
+    sched = solve_min_work(inst.runtimes, RangeConstraint(reserve=5.0))
     assert sched.assignment.tolist() == [0, UNSCHEDULED]
     assert sched.n_unscheduled == 1
 
 
 def test_reserve_tie_is_scheduled():
     inst = make_instance([[5.0, 6.0]])
-    sched = solve_min_work(inst, RangeConstraint(reserve=5.0))
+    sched = solve_min_work(inst.runtimes, RangeConstraint(reserve=5.0))
     assert sched.assignment.tolist() == [0]
 
 
 def test_reserve_zero_unschedules_positive_jobs():
     inst = make_instance([[0.5, 0.2], [0.0, 1.0]])
-    sched = solve_min_work(inst, RangeConstraint(reserve=0.0))
+    sched = solve_min_work(inst.runtimes, RangeConstraint(reserve=0.0))
     assert sched.assignment.tolist() == [UNSCHEDULED, 0]
 
 
 def test_objective_counts_reserve_cost():
     inst = make_instance([[3.0], [9.0]])
     rc = RangeConstraint(reserve=5.0)
-    sched = solve_min_work(inst, rc)
+    sched = solve_min_work(inst.runtimes, rc)
     assert sched.total_work == 3.0
     assert schedule_objective(sched, rc) == pytest.approx(8.0)
 
 
 def test_excluded_machines_are_untouched():
     inst = make_instance([[1.0, 50.0], [1.0, 60.0]])
-    sched = solve_min_work(inst, RangeConstraint(excluded=frozenset({0})))
+    sched = solve_min_work(inst.runtimes, RangeConstraint(excluded=frozenset({0})))
     assert sched.assignment.tolist() == [1, 1]
     assert sched.loads.tolist() == [0, 2]
 
@@ -87,9 +87,9 @@ def test_excluded_machines_are_untouched():
 def test_infeasible_configurations_raise():
     inst = make_instance([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     with pytest.raises(InfeasibleError):
-        solve_min_work(inst, RangeConstraint(cap=1))
+        solve_min_work(inst.runtimes, RangeConstraint(cap=1))
     with pytest.raises(InfeasibleError):
-        solve_min_work(inst, RangeConstraint(excluded=frozenset({0, 1})))
+        solve_min_work(inst.runtimes, RangeConstraint(excluded=frozenset({0, 1})))
     with pytest.raises(ValueError):
         RangeConstraint(cap=0)
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_infeasible_configurations_raise():
 def test_all_machines_excluded_with_reserve_unschedules_everything():
     inst = make_instance([[1.0], [2.0]])
     rc = RangeConstraint(reserve=0.5, excluded=frozenset({0}))
-    sched = solve_min_work(inst, rc)
+    sched = solve_min_work(inst.runtimes, rc)
     assert sched.n_unscheduled == 2
     assert schedule_objective(sched, rc) == pytest.approx(1.0)
 
@@ -108,12 +108,12 @@ def test_brute_force_guard():
     rng = np.random.default_rng(0)
     inst = sample_instance([Exponential(1.0)] * 30, 4, rng)
     with pytest.raises(InfeasibleError):
-        brute_force_min_work(inst)
+        brute_force_min_work(inst.runtimes)
 
 
 def test_brute_force_balanced_symmetric_case():
     inst = make_instance(np.full((4, 2), 3.0))
-    sched = brute_force_min_work(inst, RangeConstraint(cap=2))
+    sched = brute_force_min_work(inst.runtimes, RangeConstraint(cap=2))
     assert sched.total_work == pytest.approx(12.0)
     assert sched.loads.tolist() == [2, 2]
 
@@ -138,8 +138,8 @@ def test_solver_matches_brute_force_on_random_instances(family):
         m = int(rng.integers(1, 4))
         inst = sample_instance([family] * n, m, rng)
         rc = _random_rc(rng, inst)
-        fast = solve_min_work(inst, rc)
-        oracle = brute_force_min_work(inst, rc)
+        fast = solve_min_work(inst.runtimes, rc)
+        oracle = brute_force_min_work(inst.runtimes, rc)
         assert abs(schedule_objective(fast, rc) - schedule_objective(oracle, rc)) <= 1e-9
 
 
@@ -158,8 +158,8 @@ def test_solver_matches_brute_force_property(data, cap):
     if cap is not None and cap * inst.m < inst.n:
         cap = None
     rc = RangeConstraint(cap=cap)
-    fast = solve_min_work(inst, rc)
-    oracle = brute_force_min_work(inst, rc)
+    fast = solve_min_work(inst.runtimes, rc)
+    oracle = brute_force_min_work(inst.runtimes, rc)
     assert abs(fast.total_work - oracle.total_work) <= 1e-9
 
 
@@ -168,7 +168,7 @@ def test_total_work_nonincreasing_in_cap():
     inst = sample_instance([Exponential(1.0)] * 6, 2, rng)
     previous = np.inf
     for cap in (3, 4, 5, 6):
-        work = solve_min_work(inst, RangeConstraint(cap=cap)).total_work
+        work = solve_min_work(inst.runtimes, RangeConstraint(cap=cap)).total_work
         assert work <= previous + 1e-12
         previous = work
 
@@ -178,7 +178,7 @@ def test_scheduled_set_nondecreasing_in_reserve():
     inst = sample_instance([Exponential(1.0)] * 6, 3, rng)
     previous: set[int] = set()
     for beta in np.linspace(0.0, 2.0, 9):
-        sched = solve_min_work(inst, RangeConstraint(reserve=float(beta)))
+        sched = solve_min_work(inst.runtimes, RangeConstraint(reserve=float(beta)))
         scheduled = set(np.flatnonzero(sched.assignment != UNSCHEDULED).tolist())
         assert previous <= scheduled
         previous = scheduled
@@ -187,7 +187,7 @@ def test_scheduled_set_nondecreasing_in_reserve():
 def test_exchange_optimality_unconstrained():
     rng = np.random.default_rng(14)
     inst = sample_instance([Exponential(1.0)] * 5, 3, rng)
-    sched = solve_min_work(inst)
+    sched = solve_min_work(inst.runtimes)
     for j in range(inst.n):
         current = inst.runtimes[j, sched.assignment[j]]
         assert current <= inst.runtimes[j].min() + 1e-12
@@ -198,27 +198,27 @@ def test_exchange_optimality_unconstrained():
 
 def test_first_best_exact_small_example():
     inst = make_instance([[1.0, 3.0], [2.0, 2.0]])
-    assert first_best_makespan_exact(inst) == pytest.approx(2.0)
+    assert first_best_makespan_exact(inst.runtimes) == pytest.approx(2.0)
 
 
 def test_first_best_single_machine_is_column_sum():
     inst = make_instance([[1.5], [2.5], [3.0]])
-    assert first_best_makespan_exact(inst) == pytest.approx(7.0)
-    assert first_best_makespan_greedy(inst) == pytest.approx(7.0)
+    assert first_best_makespan_exact(inst.runtimes) == pytest.approx(7.0)
+    assert first_best_makespan_greedy(inst.runtimes) == pytest.approx(7.0)
 
 
 def test_first_best_single_job_is_min_entry():
     inst = make_instance([[4.0, 2.0, 3.0]])
-    assert first_best_makespan_exact(inst) == pytest.approx(2.0)
-    assert first_best_makespan_greedy(inst) == pytest.approx(2.0)
+    assert first_best_makespan_exact(inst.runtimes) == pytest.approx(2.0)
+    assert first_best_makespan_greedy(inst.runtimes) == pytest.approx(2.0)
 
 
 def test_greedy_traces_hand_example():
     # hand trace: job 1 (best runtime 2) goes first, tie [2,2] -> machine 0;
     # job 0 then sees resulting works [3,3], tie -> machine 0, makespan 3.
     inst = make_instance([[1.0, 3.0], [2.0, 2.0]])
-    assert first_best_makespan_greedy(inst) == pytest.approx(3.0)
-    assert first_best_makespan_exact(inst) == pytest.approx(2.0)
+    assert first_best_makespan_greedy(inst.runtimes) == pytest.approx(3.0)
+    assert first_best_makespan_exact(inst.runtimes) == pytest.approx(2.0)
 
 
 def test_greedy_upper_bounds_exact():
@@ -228,8 +228,8 @@ def test_greedy_upper_bounds_exact():
         m = int(rng.integers(1, 4))
         inst = sample_instance([Exponential(1.0)] * n, m, rng)
         assert (
-            first_best_makespan_greedy(inst)
-            >= first_best_makespan_exact(inst) - 1e-12
+            first_best_makespan_greedy(inst.runtimes)
+            >= first_best_makespan_exact(inst.runtimes) - 1e-12
         )
 
 
@@ -247,7 +247,7 @@ def test_batched_greedy_equals_scalar_loop(blocks, n, m, family, seed):
     stack = np.stack([sample_instance([family] * n, m, rng).runtimes for _ in range(blocks)])
     expected = [scalar_greedy(runtimes) for runtimes in stack]
     assert greedy_makespans(stack).tolist() == expected
-    assert first_best_makespan_greedy(Instance(stack[0], (family,) * n)) == expected[0]
+    assert first_best_makespan_greedy(stack[0]) == expected[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,4 +295,4 @@ def test_stacked_argmin_equals_each_matrix_alone(blocks, n, m, excluded, reserve
             on_dummy = best is None or (reserve is not None and job[best] > reserve)
             expected.append(UNSCHEDULED if on_dummy else int(best))
         assert row.tolist() == expected
-        assert solve_min_work(make_instance(runtimes), rc).assignment.tolist() == expected
+        assert solve_min_work(runtimes, rc).assignment.tolist() == expected

@@ -542,6 +542,8 @@ def test_cli_dist_parsing_matches_api():
         (["verify", "--lemma", "mhr-scaling", "--trials", "0"], "--trials >= 2"),
         (["verify", "--lemma", "random-copies", "--trials", "1"], "--trials >= 2"),
         (["ic-audit", "--mechanism", "sieve", "--trials", "2"], "needs --beta or"),
+        (["ic-audit", "--trials", "0"], "need trials >= 1"),
+        (["bounds", "--trials", "1"], "--trials >= 2"),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import schedmech.mechanisms as mechanisms
 from schedmech.assignment import (
     UNSCHEDULED,
     InfeasibleError,
@@ -57,7 +58,7 @@ def pivot_oracle(inst, rc, schedule, solve=brute_force_min_work):
     for i in range(inst.m):
         if schedule.loads[i] == 0:
             continue
-        pivot = solve(inst, rc.excluding(i))
+        pivot = solve(inst.runtimes, rc.excluding(i))
         payments[i] = schedule_objective(pivot, rc) - (base - schedule.works[i])
     return payments
 
@@ -183,10 +184,10 @@ def test_stage_payments_equal_resolved_and_enumerated_pivots(
         excluded=frozenset(i for i in excluded if i < m) if excluding else frozenset(),
     )
     try:
-        schedule = solve_min_work(inst, rc)
+        schedule = solve_min_work(inst.runtimes, rc)
     except InfeasibleError:
         return  # no stage to pay
-    stage = _Stage(np.arange(n), inst, rc)
+    stage = _Stage(np.arange(n), inst.runtimes, rc)
     try:
         resolved = pivot_oracle(inst, rc, schedule, solve=solve_min_work)
     except InfeasibleError as exc:
@@ -207,10 +208,10 @@ def test_stage_payments_survive_zero_cost_cycles():
     # can point 0 -> 1 -> 0, and machine 2's pivot then never finds slack.
     inst = make_instance([[1, 1, 10], [10, 10, 10], [1, 1, 1], [1, 10, 1]])
     rc = RangeConstraint(cap=1, reserve=1.0)
-    stage = _Stage(np.arange(4), inst, rc)
+    stage = _Stage(np.arange(4), inst.runtimes, rc)
     stage.schedule = schedule_from_assignment(inst.runtimes, np.array([0, -1, 1, 2]))
     assert schedule_objective(stage.schedule, rc) == schedule_objective(
-        brute_force_min_work(inst, rc), rc
+        brute_force_min_work(inst.runtimes, rc), rc
     )
     expected = pivot_oracle(inst, rc, stage.schedule)
     # a looping walk never returns: fail after a while instead of hanging
@@ -368,13 +369,13 @@ def test_combined_stage_local_payments_match_oracle():
         m1, m2 = partition_sizes(3, 2.0 / 3.0)
         set1, set2 = frozenset(range(m1)), frozenset(range(m1, 3))
         rc1 = RangeConstraint(reserve=beta, excluded=set2)
-        stage1 = brute_force_min_work(inst, rc1)
+        stage1 = brute_force_min_work(inst.runtimes, rc1)
         base1 = schedule_objective(stage1, rc1)
         for i in range(m1):
             if stage1.loads[i] == 0:
                 assert outcome.payments[i] == 0.0
                 continue
-            pivot = brute_force_min_work(inst, rc1.excluding(i))
+            pivot = brute_force_min_work(inst.runtimes, rc1.excluding(i))
             expected = schedule_objective(pivot, rc1) - (base1 - stage1.works[i])
             assert outcome.payments[i] == pytest.approx(expected, abs=1e-9)
         leftover = np.flatnonzero(stage1.assignment == UNSCHEDULED)
@@ -382,7 +383,7 @@ def test_combined_stage_local_payments_match_oracle():
             assert np.all(outcome.payments[m1:] == 0.0)
             continue
         cap2 = max(1, math.ceil(2.0 * leftover.size / m2 - 1e-9))
-        sub = Instance(inst.runtimes[leftover], tuple(inst.specs[j] for j in leftover))
+        sub = inst.runtimes[leftover]
         rc2 = RangeConstraint(cap=cap2, excluded=set1)
         stage2 = brute_force_min_work(sub, rc2)
         base2 = schedule_objective(stage2, rc2)
@@ -537,14 +538,12 @@ def test_audit_detects_a_rigged_mechanism():
     class SelfServingSieve:
         def outcome(self, runtimes):
             beta = float(runtimes.mean())
-            return solve_min_work(
-                Instance(runtimes, inst.specs), RangeConstraint(reserve=beta)
-            ), beta
+            return solve_min_work(runtimes, RangeConstraint(reserve=beta)), beta
 
     mech = SelfServingSieve()
     base_sched, base_beta = mech.outcome(inst.runtimes)
     rc = RangeConstraint(reserve=base_beta)
-    pivot = brute_force_min_work(inst, rc.excluding(0))
+    pivot = brute_force_min_work(inst.runtimes, rc.excluding(0))
     base_pay = schedule_objective(pivot, rc) - (
         schedule_objective(base_sched, rc) - base_sched.works[0]
     )
@@ -555,7 +554,7 @@ def test_audit_detects_a_rigged_mechanism():
         reported[:, 0] *= factor
         sched, beta = mech.outcome(reported)
         rc_dev = RangeConstraint(reserve=beta)
-        pivot = brute_force_min_work(Instance(reported, inst.specs), rc_dev.excluding(0))
+        pivot = brute_force_min_work(reported, rc_dev.excluding(0))
         pay = schedule_objective(pivot, rc_dev) - (
             schedule_objective(sched, rc_dev) - sched.works[0]
         )
@@ -586,6 +585,37 @@ def test_audit_refuses_configs_with_undefined_payments():
     assert overload_cap(7, 3, 1.2) * 2 < 7
     with pytest.raises(PaymentInfeasibleError):
         ic_audit(MechanismConfig("bounded-overload", c=1.2), inst)
+
+
+def test_mechanisms_build_no_instance_beyond_the_callers(monkeypatch):
+    # The caller's Instance validated the rows once: the stages, the audit's
+    # candidate reports and the last-entry probe solve plain matrices.  On
+    # ``combined`` the sieve (machine 0, beta 2) leaves jobs 1 and 2 over.
+    combined = make_instance([[1.0, 5.0, 5.0], [9.0, 3.0, 1.0], [9.0, 1.0, 4.0], [1.0, 2.0, 2.0]])
+    crowded = make_instance([[1.0, 2.0, 3.0]] * 6)
+    configs = [
+        MechanismConfig("minimum-work"),
+        MechanismConfig("bounded-overload", c=2.0),
+        MechanismConfig("sieve", beta=2.0),
+        MechanismConfig("sieve-bounded-overload", c=2.0, beta=2.0, delta=2.0 / 3.0),
+    ]
+    built = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(Instance, "__post_init__", lambda self: built.append(self) or post_init(self))
+    solves = []
+    monkeypatch.setattr(
+        mechanisms, "solve_min_work", lambda *args: solves.append(args) or solve_min_work(*args)
+    )
+    for config in configs:
+        outcome = run_mechanism(config, combined)
+        assert outcome.ranks.min() >= 1
+        assert ic_audit(config, combined) == []
+    assert outcome.stages == ("sieve", "overload", "overload", "sieve")
+    solves.clear()
+    # cap 3 on 3 machines: the other five jobs' argmins all sit on machine 0
+    assert last_entry_rank(crowded, 1.1, 0) == 2
+    assert len(solves) == 1
+    assert built == []
 
 
 def test_run_mechanism_dispatch_and_validation():
