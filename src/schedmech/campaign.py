@@ -54,7 +54,14 @@ from .assignment import (  # noqa: F401
 from .distributions import DistributionSpec
 from .instances import Instance, runtime_sampler, sample_instance  # noqa: F401
 from .mechanisms import MechanismConfig, derive_reserve, overload_cap, run_mechanism, stage_ranges
-from .optbounds import OptEstimate, opt_reference, reduced_machine_count
+from .optbounds import (
+    OptEstimate,
+    larger_bound,
+    mean_se,
+    opt_reference,
+    ratio_se,
+    reduced_machine_count,
+)
 
 __all__ = [
     "REFERENCES",
@@ -127,12 +134,8 @@ class ExperimentConfig:
                 raise ValueError(
                     "sieve-based mechanisms require identically distributed jobs"
                 )
-        delta = self.reference_delta
-        if delta is not None and delta * self.m < 1.0 - 1e-12:
-            raise ValueError(
-                f"reference '{self.reference}' needs at least one machine "
-                f"(delta*m = {delta * self.m:.3g} < 1)"
-            )
+        if self.reference_delta is not None:
+            reduced_machine_count(self.m, self.reference_delta)
 
     @property
     def reference_delta(self) -> float | None:
@@ -336,18 +339,12 @@ def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
     return rows, paired, bound_trials
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return mean, se
-
-
 def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     mech = resolve_reserve(cfg.mechanism, cfg.job_specs[0], cfg.n, cfg.m)
     rows, paired, cap_bound_trials = _run_trials(cfg, mech)
 
     makespans = np.array([r.makespan for r in rows])
-    msp_mean, msp_se = _mean_se(makespans)
+    msp_mean, msp_se = mean_se(makespans)
     aggregate = {
         "trials": cfg.trials,
         "mean_makespan": msp_mean,
@@ -362,22 +359,18 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
     delta = cfg.reference_delta
     if delta is not None:
         if cfg.paired:
-            wb = np.array([s[0] for s in paired])
-            ab = np.array([s[1] for s in paired])
-            wb_mean, wb_se = _mean_se(wb)
-            ab_mean, ab_se = _mean_se(ab)
-            if wb_mean >= ab_mean:
-                ref_samples, ref_mean, ref_se, kind = wb, wb_mean, wb_se, "worst-best"
-            else:
-                ref_samples, ref_mean, ref_se, kind = ab, ab_mean, ab_se, "average-best"
-            reference = OptEstimate(
-                "max-of-both", reduced_machine_count(cfg.m, delta), ref_mean, ref_se, cfg.trials
+            reference, kind, ref_samples = larger_bound(
+                reduced_machine_count(cfg.m, delta),
+                np.array([s[0] for s in paired]),
+                np.array([s[1] for s in paired]),
             )
-            # One trial has no sample covariance; its SEs are 0 too (_mean_se).
+            ref_mean, ref_se = reference.mean, reference.standard_error
+            # the unpaired rule's ratio, which refuses a zero reference mean
+            ratio, _ = ratio_se(msp_mean, msp_se, ref_mean, ref_se)
+            # One trial has no sample covariance; its SEs are 0 too (mean_se).
             cov = 0.0
             if cfg.trials > 1:
                 cov = float(np.cov(makespans, ref_samples, ddof=1)[0, 1]) / cfg.trials
-            ratio = msp_mean / ref_mean
             var = 0.0  # a zero mean makespan is every makespan 0: no spread
             if msp_mean:
                 var = ratio**2 * (
@@ -385,18 +378,15 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
                     + (ref_se / ref_mean) ** 2
                     - 2.0 * cov / (msp_mean * ref_mean)
                 )
-            ratio_se = math.sqrt(max(var, 0.0))
+            ratio_error = math.sqrt(max(var, 0.0))
             aggregate["reference_chosen_bound"] = kind
         else:
             rng = np.random.default_rng(
                 derive_trial_seed(cfg.master_seed, _REFERENCE_STREAM, 0)
             )
             reference = opt_reference(cfg.job_specs, cfg.n, cfg.m, delta, cfg.trials, rng)
-            ratio = msp_mean / reference.mean
-            ratio_se = abs(ratio) * math.hypot(
-                msp_se / msp_mean if msp_mean else 0.0,
-                reference.standard_error / reference.mean if reference.mean else 0.0,
-            )
+            ref_mean, ref_se = reference.mean, reference.standard_error
+            ratio, ratio_error = ratio_se(msp_mean, msp_se, ref_mean, ref_se)
         aggregate.update(
             {
                 "reference_kind": cfg.reference,
@@ -404,7 +394,7 @@ def run_campaign(cfg: ExperimentConfig) -> CampaignResult:
                 "reference_mean": reference.mean,
                 "reference_se": reference.standard_error,
                 "ratio": ratio,
-                "ratio_se": ratio_se,
+                "ratio_se": ratio_error,
             }
         )
     return CampaignResult(config=cfg, rows=rows, aggregate=aggregate, reference=reference)

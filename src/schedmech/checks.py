@@ -1,8 +1,8 @@
 """Executable statistical checks for the order-statistic and sieve claims.
 
 Each check turns a probabilistic statement the mechanisms rely on into a
-falsifiable Monte Carlo (or exact) test and returns a small result object
-with a ``passed`` flag and a ``json_record()`` for reporting:
+falsifiable Monte Carlo (or exact) test and returns a ``CheckResult`` with
+a ``passed`` flag and a ``json_record()`` for reporting:
 
 * ``check_order_stat_dominance`` -- the i-th smallest of m draws is
   stochastically dominated by max(alpha, max of 4^i copies of the minimum
@@ -23,7 +23,8 @@ with a ``passed`` flag and a ``json_record()`` for reporting:
 
 Empirical tail comparisons are judged against two-sided
 Dvoretzky-Kiefer-Wolfowitz bands at 99% confidence; moment comparisons get
-three standard errors of slack.  The checks are deliberately conservative:
+three standard errors of slack, and the checks that estimate a standard
+error refuse fewer than two trials.  The checks are deliberately conservative:
 every claim here is provably true, so a failure indicates a bug, and every
 dominance check must fail when fed a deliberately falsified claim (see
 ``empirical_dominance`` and the negative-control tests).
@@ -32,7 +33,7 @@ dominance check must fail when fed a deliberately falsified claim (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,17 +48,18 @@ from .distributions import (
 )
 from .instances import sample_instance
 from .mechanisms import derive_reserve, run_sieve
-from .optbounds import expected_average_best, expected_worst_best, reduced_machine_count
+from .optbounds import (
+    expected_average_best,
+    expected_worst_best,
+    mean_se,
+    ratio_se,
+    reduced_machine_count,
+)
 
 __all__ = [
     "CONFIDENCE",
     "dkw_band",
-    "DominanceReport",
-    "MomentCheck",
-    "RatioCheck",
-    "OptRatioCheck",
-    "IdentityCheck",
-    "CountCheck",
+    "CheckResult",
     "CopiesQuery",
     "FiniteJoint",
     "empirical_dominance",
@@ -98,39 +100,36 @@ def _grid(lo: float, samples: np.ndarray, points: int = GRID_POINTS) -> np.ndarr
 
 
 @dataclass(frozen=True, eq=False)
-class DominanceReport:
-    """Empirical tail comparison for a claim "lhs is dominated by rhs".
-
-    ``max_violation`` is the largest lhs_tail - rhs_tail - 2 * band over the
-    grid; the claim passes when it is nonpositive.
-    """
+class CheckResult:
+    """One check's outcome: the claim's id and parameters, the trials it
+    drew (0 for an exact check), its named statistics, the slack ``band``
+    it was judged with, and whether it passed."""
 
     lemma_id: str
     params: dict
-    t_grid: np.ndarray
-    lhs_tail: np.ndarray
-    rhs_tail: np.ndarray
-    band: float
-    max_violation: float
-    passed: bool
     trials: int
-    notes: dict = field(default_factory=dict)
+    statistics: dict
+    band: float
+    passed: bool
 
     def json_record(self) -> dict:
+        """The result as JSON-ready data, numpy arrays as lists."""
         return {
             "lemma_id": self.lemma_id,
             "parameters": self.params,
             "trials": self.trials,
             "statistics": {
-                "t_grid": self.t_grid.tolist(),
-                "lhs_tail": self.lhs_tail.tolist(),
-                "rhs_tail": self.rhs_tail.tolist(),
-                "max_violation": self.max_violation,
-                **self.notes,
+                key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self.statistics.items()
             },
             "band": self.band,
             "pass": self.passed,
         }
+
+
+def _need_se_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError("a standard error needs trials >= 2")
 
 
 def empirical_dominance(
@@ -141,8 +140,14 @@ def empirical_dominance(
     grid: np.ndarray,
     confidence: float = CONFIDENCE,
     notes: dict | None = None,
-) -> DominanceReport:
-    """Judge "lhs stochastically dominated by rhs" on an explicit grid."""
+) -> CheckResult:
+    """Judge "lhs stochastically dominated by rhs" on an explicit grid.
+
+    Its statistics are the grid ``t_grid``, both empirical tails, and
+    ``max_violation``, the largest lhs_tail - rhs_tail - 2 * band over the
+    grid, with ``notes`` merged in; the claim passes when ``max_violation``
+    is nonpositive.
+    """
     lhs_samples = np.sort(np.asarray(lhs_samples, dtype=float))
     rhs_samples = np.sort(np.asarray(rhs_samples, dtype=float))
     if lhs_samples.size != rhs_samples.size:
@@ -153,17 +158,19 @@ def empirical_dominance(
     rhs_tail = _tail(rhs_samples, grid)
     violation = lhs_tail - rhs_tail - 2.0 * band
     max_violation = float(violation.max())
-    return DominanceReport(
+    return CheckResult(
         lemma_id=lemma_id,
         params=params,
-        t_grid=np.asarray(grid, dtype=float),
-        lhs_tail=lhs_tail,
-        rhs_tail=rhs_tail,
-        band=band,
-        max_violation=max_violation,
-        passed=max_violation <= 0.0,
         trials=trials,
-        notes=notes or {},
+        statistics={
+            "t_grid": np.asarray(grid, dtype=float),
+            "lhs_tail": lhs_tail,
+            "rhs_tail": rhs_tail,
+            "max_violation": max_violation,
+            **(notes or {}),
+        },
+        band=band,
+        passed=max_violation <= 0.0,
     )
 
 
@@ -185,7 +192,7 @@ def check_order_stat_dominance(
     i: int,
     trials: int,
     rng: np.random.Generator,
-) -> DominanceReport:
+) -> CheckResult:
     """The i-th of m draws vs max(alpha, max of 4^i minima of m/2 draws)."""
     if m < 2:
         raise ValueError("need m >= 2")
@@ -215,10 +222,11 @@ def check_order_stat_dominance(
     )
     # The threshold point itself sits on the CDF jump for step families, so
     # its result is recorded separately as well.
-    boundary = float(report.lhs_tail[0] - report.rhs_tail[0] - 2.0 * report.band)
-    report.notes["alpha_point_violation"] = boundary
+    stats = report.statistics
+    boundary = float(stats["lhs_tail"][0] - stats["rhs_tail"][0] - 2.0 * report.band)
+    stats["alpha_point_violation"] = boundary
     if m % 2 == 1:
-        report.notes["odd_m_half"] = half
+        stats["odd_m_half"] = half
     return report
 
 
@@ -227,7 +235,7 @@ def check_mhr_scaling(
     r: int,
     trials: int,
     rng: np.random.Generator,
-) -> DominanceReport:
+) -> CheckResult:
     """A monotone-hazard draw vs r times the minimum of r draws."""
     if not spec.mhr:
         raise ValueError(f"{spec.spec_string} is not a monotone-hazard-rate family")
@@ -244,34 +252,6 @@ def check_mhr_scaling(
         rhs,
         grid,
     )
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    lemma_id: str
-    params: dict
-    lhs_mean: float
-    lhs_se: float
-    rhs_mean: float
-    rhs_se: float
-    slack: float
-    passed: bool
-    trials: int
-
-    def json_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "parameters": self.params,
-            "trials": self.trials,
-            "statistics": {
-                "lhs_mean": self.lhs_mean,
-                "lhs_se": self.lhs_se,
-                "rhs_mean": self.rhs_mean,
-                "rhs_se": self.rhs_se,
-            },
-            "band": self.slack,
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -303,8 +283,9 @@ class CopiesQuery:
 
 def check_random_copies(
     query: CopiesQuery, trials: int, rng: np.random.Generator
-) -> MomentCheck:
+) -> CheckResult:
     """E[max_j (max of K_j copies of W_j)] vs c/(c-1) * E[K] * E[max_j W_j]."""
+    _need_se_trials(trials)
     n = query.n
     k_values = np.asarray(query.k_values)
     k_max = int(k_values.max())
@@ -315,9 +296,7 @@ def check_random_copies(
         mask = np.arange(k_max)[None, None, :] < ks[:, :, None]
         return np.where(mask, draws, -np.inf).max(axis=2).max(axis=1)
 
-    lhs = _sample_chunked(lhs_block, trials, n * k_max)
-    lhs_mean = float(lhs.mean())
-    lhs_se = float(lhs.std(ddof=1) / math.sqrt(trials))
+    lhs_mean, lhs_se = mean_se(_sample_chunked(lhs_block, trials, n * k_max))
 
     w_max = _sample_chunked(
         lambda c: np.asarray(query.w_spec.sample(rng, (c, n)), dtype=float).max(axis=1),
@@ -325,11 +304,11 @@ def check_random_copies(
         n,
     )
     factor = query.c / (query.c - 1.0) * query.mean_k
-    rhs_mean = factor * float(w_max.mean())
-    rhs_se = factor * float(w_max.std(ddof=1) / math.sqrt(trials))
+    w_mean, w_se = mean_se(w_max)
+    rhs_mean, rhs_se = factor * w_mean, factor * w_se
 
     slack = 3.0 * math.hypot(lhs_se, rhs_se)
-    return MomentCheck(
+    return CheckResult(
         lemma_id="random-copies",
         params={
             "k_values": list(query.k_values),
@@ -338,37 +317,11 @@ def check_random_copies(
             "c": query.c,
             "n": n,
         },
-        lhs_mean=lhs_mean,
-        lhs_se=lhs_se,
-        rhs_mean=rhs_mean,
-        rhs_se=rhs_se,
-        slack=slack,
-        passed=lhs_mean <= rhs_mean + slack,
         trials=trials,
+        statistics={"lhs_mean": lhs_mean, "lhs_se": lhs_se, "rhs_mean": rhs_mean, "rhs_se": rhs_se},
+        band=slack,
+        passed=lhs_mean <= rhs_mean + slack,
     )
-
-
-@dataclass(frozen=True)
-class RatioCheck:
-    lemma_id: str
-    params: dict
-    ratio: float
-    bound: float
-    se: float
-    passed: bool
-    mode: str
-    trials: int
-    details: dict = field(default_factory=dict)
-
-    def json_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "parameters": self.params,
-            "trials": self.trials,
-            "statistics": {"ratio": self.ratio, "bound": self.bound, "se": self.se, **self.details},
-            "band": 3.0 * self.se,
-            "pass": self.passed,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,7 +367,7 @@ def check_correlation_gap(
     trials: int | None = None,
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
-) -> RatioCheck:
+) -> CheckResult:
     """E[max under the joint] vs E[max under independent marginals].
 
     The ratio must not exceed e/(e-1).  Exact mode enumerates; Monte Carlo
@@ -424,76 +377,36 @@ def check_correlation_gap(
         raise ValueError("mode must be 'exact' or 'mc'")
     max_x = joint.outcomes.max(axis=1)
     if mode == "exact":
-        e_x = float(joint.probs @ max_x)
-        e_y = _independent_max_mean(joint)
-        ratio = e_x / e_y
-        se = 0.0
+        e_x, se_x = float(joint.probs @ max_x), 0.0
+        e_y, se_y = _independent_max_mean(joint), 0.0
         used = 0
     else:
         if trials is None or rng is None:
             raise ValueError("mc mode needs trials and rng")
+        _need_se_trials(trials)
         idx = rng.choice(joint.probs.size, size=trials, p=joint.probs)
         x_samples = max_x[idx]
         y_samples = np.full(trials, -np.inf)
         for i in range(joint.n):
             idx_i = rng.choice(joint.probs.size, size=trials, p=joint.probs)
             np.maximum(y_samples, joint.outcomes[idx_i, i], out=y_samples)
-        e_x, e_y = float(x_samples.mean()), float(y_samples.mean())
-        ratio = e_x / e_y
-        se_x = x_samples.std(ddof=1) / math.sqrt(trials)
-        se_y = y_samples.std(ddof=1) / math.sqrt(trials)
-        se = abs(ratio) * math.hypot(se_x / e_x, se_y / e_y)
+        (e_x, se_x), (e_y, se_y) = mean_se(x_samples), mean_se(y_samples)
         used = trials
-    threshold = CORRELATION_GAP_BOUND + tol + 3.0 * se
-    return RatioCheck(
+    ratio, se = ratio_se(e_x, se_x, e_y, se_y)
+    return CheckResult(
         lemma_id="correlation-gap",
         params={"n": joint.n, "outcomes": joint.outcomes.shape[0], "mode": mode},
-        ratio=ratio,
-        bound=CORRELATION_GAP_BOUND,
-        se=se,
-        passed=ratio <= threshold,
-        mode=mode,
         trials=used,
-        details={"e_max_joint": e_x, "e_max_independent": e_y},
+        statistics={
+            "ratio": ratio,
+            "bound": CORRELATION_GAP_BOUND,
+            "se": se,
+            "e_max_joint": e_x,
+            "e_max_independent": e_y,
+        },
+        band=3.0 * se,
+        passed=ratio <= CORRELATION_GAP_BOUND + tol + 3.0 * se,
     )
-
-
-@dataclass(frozen=True)
-class OptRatioCheck:
-    lemma_id: str
-    params: dict
-    worst_ratio: float
-    worst_se: float
-    average_ratio: float
-    average_se: float
-    bound: float
-    passed: bool
-    trials: int
-
-    def json_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "parameters": self.params,
-            "trials": self.trials,
-            "statistics": {
-                "worst_ratio": self.worst_ratio,
-                "worst_se": self.worst_se,
-                "average_ratio": self.average_ratio,
-                "average_se": self.average_se,
-                "bound": self.bound,
-            },
-            "band": 3.0,
-            "pass": self.passed,
-        }
-
-
-def _ratio_and_se(num, den) -> tuple[float, float]:
-    ratio = num.mean / den.mean
-    rel = math.hypot(
-        num.standard_error / num.mean if num.mean else 0.0,
-        den.standard_error / den.mean if den.mean else 0.0,
-    )
-    return ratio, abs(ratio) * rel
 
 
 def check_opt_ratio_mhr(
@@ -503,51 +416,36 @@ def check_opt_ratio_mhr(
     delta: float,
     trials: int,
     rng: np.random.Generator,
-) -> OptRatioCheck:
+) -> CheckResult:
     """Reduced-machine bounds vs full-machine bounds, capped at 1/delta^2."""
     if not spec.mhr:
         raise ValueError(f"{spec.spec_string} is not a monotone-hazard-rate family")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
+    _need_se_trials(trials)
     reduced = reduced_machine_count(m, delta)
     wb_r = expected_worst_best(spec, n, reduced, trials, rng)
     wb_f = expected_worst_best(spec, n, m, trials, rng)
     ab_r = expected_average_best(spec, n, reduced, trials, rng)
     ab_f = expected_average_best(spec, n, m, trials, rng)
-    worst_ratio, worst_se = _ratio_and_se(wb_r, wb_f)
-    avg_ratio, avg_se = _ratio_and_se(ab_r, ab_f)
+    worst_ratio, worst_se = ratio_se(wb_r.mean, wb_r.standard_error, wb_f.mean, wb_f.standard_error)
+    avg_ratio, avg_se = ratio_se(ab_r.mean, ab_r.standard_error, ab_f.mean, ab_f.standard_error)
     bound = 1.0 / delta**2
     passed = (worst_ratio <= bound + 3 * worst_se) and (avg_ratio <= bound + 3 * avg_se)
-    return OptRatioCheck(
+    return CheckResult(
         lemma_id="opt-ratio-mhr",
         params={"spec": spec.spec_string, "n": n, "m": m, "delta": delta},
-        worst_ratio=worst_ratio,
-        worst_se=worst_se,
-        average_ratio=avg_ratio,
-        average_se=avg_se,
-        bound=bound,
-        passed=passed,
         trials=trials,
+        statistics={
+            "worst_ratio": worst_ratio,
+            "worst_se": worst_se,
+            "average_ratio": avg_ratio,
+            "average_se": avg_se,
+            "bound": bound,
+        },
+        band=3.0,
+        passed=passed,
     )
-
-
-@dataclass(frozen=True)
-class IdentityCheck:
-    lemma_id: str
-    params: dict
-    max_rel_error: float
-    tol: float
-    passed: bool
-
-    def json_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "parameters": self.params,
-            "trials": 0,
-            "statistics": {"max_rel_error": self.max_rel_error},
-            "band": self.tol,
-            "pass": self.passed,
-        }
 
 
 def check_min_hazard_identity(
@@ -555,7 +453,7 @@ def check_min_hazard_identity(
     k: int,
     t_grid: Sequence[float],
     tol: float = 1e-10,
-) -> IdentityCheck:
+) -> CheckResult:
     """Hazard implied by the k-fold-minimum CDF vs k times the base hazard.
 
     Grid points must keep the k-fold minimum's survival well away from zero:
@@ -573,34 +471,14 @@ def check_min_hazard_identity(
     expected = k * np.asarray(spec.hazard(t), dtype=float)
     rel = np.abs(implied - expected) / expected
     max_rel = float(rel.max())
-    return IdentityCheck(
+    return CheckResult(
         lemma_id="min-hazard-identity",
         params={"spec": spec.spec_string, "k": k, "grid_points": int(t.size)},
-        max_rel_error=max_rel,
-        tol=tol,
+        trials=0,
+        statistics={"max_rel_error": max_rel},
+        band=tol,
         passed=max_rel <= tol,
     )
-
-
-@dataclass(frozen=True)
-class CountCheck:
-    lemma_id: str
-    params: dict
-    mean: float
-    standard_error: float
-    bound: float
-    passed: bool
-    trials: int
-
-    def json_record(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "parameters": self.params,
-            "trials": self.trials,
-            "statistics": {"mean": self.mean, "se": self.standard_error, "bound": self.bound},
-            "band": 3.0 * self.standard_error,
-            "pass": self.passed,
-        }
 
 
 def check_sieve_unscheduled(
@@ -610,23 +488,22 @@ def check_sieve_unscheduled(
     k: float,
     trials: int,
     rng: np.random.Generator,
-) -> CountCheck:
+) -> CheckResult:
     """Mean unscheduled count under the count-target reserve vs k*m."""
+    _need_se_trials(trials)
     beta = derive_reserve(spec, n, m, rule="count-target", k=k)
     counts = np.empty(trials)
     specs = [spec] * n
     for t in range(trials):
         inst = sample_instance(specs, m, rng)
         counts[t] = run_sieve(inst, beta, compute_payments=False).schedule.n_unscheduled
-    mean = float(counts.mean())
-    se = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mean, se = mean_se(counts)
     bound = k * m
-    return CountCheck(
+    return CheckResult(
         lemma_id="sieve-unscheduled",
         params={"spec": spec.spec_string, "n": n, "m": m, "k": k, "beta": beta},
-        mean=mean,
-        standard_error=se,
-        bound=bound,
-        passed=mean <= bound + 3.0 * se,
         trials=trials,
+        statistics={"mean": mean, "se": se, "bound": bound},
+        band=3.0 * se,
+        passed=mean <= bound + 3.0 * se,
     )

@@ -644,18 +644,13 @@ def misreport_columns(true_column: np.ndarray) -> list[tuple[str, np.ndarray]]:
     return candidates
 
 
-def ic_audit(
-    config: MechanismConfig,
-    inst: Instance,
-    machines=None,
-    gain_tol: float = GAIN_TOL,
-) -> list[IcViolation]:
+def ic_audit(config: MechanismConfig, inst: Instance) -> list[IcViolation]:
     """Search the misreport grid for profitable deviations.
 
     For each candidate report of each audited machine the outcome of the
     machine's stage is recomputed on the misreported rows and the machine's
     utility (payment minus the true runtime of the jobs it receives) is
-    compared against the truthful run.  Any gain above ``gain_tol`` is
+    compared against the truthful run.  Any gain above ``GAIN_TOL`` is
     reported.  A finite grid cannot prove truthfulness; an empty result is a
     failed falsification.  The stages, their truthful schedules and their
     pivots are computed once per audit: a machine's pivot excludes it, so
@@ -663,7 +658,7 @@ def ic_audit(
     """
     violations: list[IcViolation] = []
     parts = tuple(_stages(config, inst))
-    for i in range(inst.m) if machines is None else machines:
+    for i in range(inst.m):
         stage = next((s for s in parts if i not in s.rc.excluded), None)
         if stage is None:
             continue  # the sieve left no job for the overload stage
@@ -683,6 +678,6 @@ def ic_audit(
             reported = stage_true.copy()
             reported[:, i] = column[stage.jobs]
             deviant = utility(solve_min_work(reported, rc))
-            if deviant - truthful > gain_tol:
+            if deviant - truthful > GAIN_TOL:
                 violations.append(IcViolation(i, label, truthful, deviant))
     return violations

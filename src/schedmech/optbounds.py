@@ -13,6 +13,10 @@ and reports the larger, which is the usual comparison target for mechanism
 campaigns.  Estimates always use fresh draws, independent of any mechanism
 run, so the ratio numerator and denominator stay uncorrelated unless the
 caller explicitly pairs them.
+
+``mean_se`` and ``ratio_se`` are the lab's one rule for a mean's standard
+error and for a ratio of two means with its delta-method standard error;
+the checks and the campaign aggregates use them too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ from .distributions import DistributionSpec
 
 __all__ = [
     "OptEstimate",
+    "mean_se",
+    "ratio_se",
+    "larger_bound",
     "expected_worst_best",
     "expected_average_best",
     "opt_reference",
@@ -67,10 +74,41 @@ def _per_trial_stats(specs, n, machines, trials, rng):
     return worst, total
 
 
-def _estimate(kind, machines, samples) -> OptEstimate:
+def mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error std(ddof=1)/sqrt(n); the error is
+    0.0 for a single sample."""
     trials = samples.size
     se = float(np.std(samples, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return OptEstimate(kind, machines, float(samples.mean()), se, trials)
+    return float(samples.mean()), se
+
+
+def ratio_se(num_mean: float, num_se: float, den_mean: float, den_se: float) -> tuple[float, float]:
+    """num_mean / den_mean and its standard error for independent estimates:
+    the ratio times the hypot of the relative errors, a zero numerator
+    contributing none.  A zero denominator raises ``ValueError``."""
+    if not den_mean:
+        raise ValueError("ratio undefined: the denominator's mean is zero")
+    ratio = num_mean / den_mean
+    rel = math.hypot(num_se / num_mean if num_mean else 0.0, den_se / den_mean)
+    return ratio, abs(ratio) * rel
+
+
+def _estimate(kind, machines, samples) -> OptEstimate:
+    mean, se = mean_se(samples)
+    return OptEstimate(kind, machines, mean, se, samples.size)
+
+
+def larger_bound(
+    machines: int, worst: np.ndarray, average: np.ndarray
+) -> tuple[OptEstimate, str, np.ndarray]:
+    """The larger of the two bounds from their per-trial samples on
+    ``machines`` machines: its "max-of-both" estimate, its kind and its
+    samples.  The worst-best bound wins a tie."""
+    wb = _estimate("worst-best", machines, worst)
+    ab = _estimate("average-best", machines, average)
+    larger, samples = (wb, worst) if wb.mean >= ab.mean else (ab, average)
+    both = OptEstimate("max-of-both", machines, larger.mean, larger.standard_error, larger.trials)
+    return both, larger.kind, samples
 
 
 def expected_worst_best(
@@ -97,7 +135,7 @@ def reduced_machine_count(m: int, delta: float) -> int:
     """round(delta * m), half away from zero; errors when delta * m < 1."""
     raw = delta * m
     if raw < 1.0 - 1e-12:
-        raise ValueError(f"reduced machine count delta*m = {raw:.3g} < 1")
+        raise ValueError(f"delta*m = {raw:.3g} < 1: the reduced count needs at least one machine")
     return int(math.floor(raw + 0.5))
 
 
@@ -107,7 +145,4 @@ def opt_reference(
     """The larger of the two bounds on round(delta * m) machines."""
     machines = reduced_machine_count(m, delta)
     worst, total = _per_trial_stats(specs, n, machines, trials, rng)
-    wb = _estimate("worst-best", machines, worst)
-    ab = _estimate("average-best", machines, total / machines)
-    larger = wb if wb.mean >= ab.mean else ab
-    return OptEstimate("max-of-both", machines, larger.mean, larger.standard_error, trials)
+    return larger_bound(machines, worst, total / machines)[0]

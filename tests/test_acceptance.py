@@ -273,12 +273,15 @@ def test_c06_statistical_check_suite():
                 report = check_order_stat_dominance(spec, m, i, trials, rng)
                 assert report.passed, (
                     f"order-stat dominance failed: {spec.spec_string} m={m} i={i} "
-                    f"violation={report.max_violation}"
+                    f"violation={report.statistics['max_violation']}"
                 )
 
     equality = check_mhr_scaling(EXP1, 3, trials, rng)
     assert equality.passed
-    assert np.max(np.abs(equality.lhs_tail - equality.rhs_tail)) <= 2 * equality.band
+    assert (
+        np.max(np.abs(equality.statistics["lhs_tail"] - equality.statistics["rhs_tail"]))
+        <= 2 * equality.band
+    )
     assert check_mhr_scaling(Uniform(0.0, 1.0), 2, trials, rng).passed
 
     queries = (
@@ -292,16 +295,17 @@ def test_c06_statistical_check_suite():
     tight = FiniteJoint(np.eye(5), np.full(5, 0.2))
     exact = check_correlation_gap(tight, mode="exact")
     assert exact.passed
-    assert exact.ratio == pytest.approx(1.48740, rel=0.005)
-    assert exact.ratio <= CORRELATION_GAP_BOUND
+    assert exact.statistics["ratio"] == pytest.approx(1.48740, rel=0.005)
+    assert exact.statistics["ratio"] <= CORRELATION_GAP_BOUND
     assert CORRELATION_GAP_BOUND == pytest.approx(1.58198, abs=1e-5)
     mc = check_correlation_gap(tight, mode="mc", trials=trials, rng=rng)
-    assert mc.passed and abs(mc.ratio - exact.ratio) <= 3 * mc.se
+    assert mc.passed
+    assert abs(mc.statistics["ratio"] - exact.statistics["ratio"]) <= 3 * mc.statistics["se"]
 
     opt_ratio = check_opt_ratio_mhr(EXP1, 8, 8, 0.5, trials, rng)
     assert opt_ratio.passed
-    assert abs(opt_ratio.worst_ratio - 2.0) <= 3 * opt_ratio.worst_se
-    assert opt_ratio.worst_ratio <= 4.0
+    assert abs(opt_ratio.statistics["worst_ratio"] - 2.0) <= 3 * opt_ratio.statistics["worst_se"]
+    assert opt_ratio.statistics["worst_ratio"] <= 4.0
 
     assert check_min_hazard_identity(EXP1, 4, np.linspace(0.02, 1.5, 80)).passed
     assert check_min_hazard_identity(Uniform(0.0, 1.0), 3, np.linspace(0.05, 0.8, 80)).passed
@@ -329,15 +333,16 @@ def test_c07_sieve_unscheduled_count():
     check = check_sieve_unscheduled(EXP1, 100, 10, 2.0, 10_000, rng)
     oracle = 100.0 * math.exp(-5.0)  # P(min of 10 Exp(1) > 0.5) = e^-5 per job
     assert check.params["beta"] == pytest.approx(0.5)
-    assert check.mean <= 20.0
-    assert abs(check.mean - oracle) <= 3 * check.standard_error, (
-        f"mean {check.mean} not within 3 SE ({check.standard_error}) of {oracle}"
+    assert check.statistics["mean"] <= 20.0
+    assert abs(check.statistics["mean"] - oracle) <= 3 * check.statistics["se"], (
+        f"mean {check.statistics['mean']} not within 3 SE ({check.statistics['se']}) of {oracle}"
     )
     elapsed = time.perf_counter() - start
     _announce(
         7,
         elapsed,
-        f"PASS mean unscheduled {check.mean:.4f} <= 20 and within 3 SE of {oracle:.4f}",
+        f"PASS mean unscheduled {check.statistics['mean']:.4f} <= 20 "
+        f"and within 3 SE of {oracle:.4f}",
     )
     assert elapsed < 60.0
 

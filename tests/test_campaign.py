@@ -544,6 +544,16 @@ def test_cli_dist_parsing_matches_api():
         (["ic-audit", "--mechanism", "sieve", "--trials", "2"], "needs --beta or"),
         (["ic-audit", "--trials", "0"], "need trials >= 1"),
         (["bounds", "--trials", "1"], "--trials >= 2"),
+        (
+            ["simulate", "--dist", "twopoint:0,1,0.0", "--n", "3", "--m", "2",
+             "--reference", "opt-half", "--trials", "4"],
+            "mean is zero",
+        ),
+        (
+            ["simulate", "--dist", "twopoint:0,1,0.0", "--n", "3", "--m", "2",
+             "--reference", "opt-half", "--trials", "4", "--paired"],
+            "mean is zero",
+        ),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):

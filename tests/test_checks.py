@@ -44,7 +44,7 @@ def test_negative_control_falsified_dominance_fails():
     grid = np.linspace(0.0, 1.0, 60)
     report = empirical_dominance("negative-control", {}, lhs, rhs, grid)
     assert not report.passed
-    assert report.max_violation > 0
+    assert report.statistics["max_violation"] > 0
 
 
 def test_dominance_requires_matched_sample_counts():
@@ -59,10 +59,10 @@ def test_dominance_requires_matched_sample_counts():
 @pytest.mark.parametrize("i", [1, 2])
 def test_order_stat_dominance_passes(spec, i):
     report = check_order_stat_dominance(spec, 16, i, 60_000, RNG(1))
-    assert report.passed, f"violation {report.max_violation}"
-    assert report.t_grid[0] == pytest.approx(report.params["alpha"])
-    assert len(report.t_grid) >= 50
-    assert "alpha_point_violation" in report.notes
+    assert report.passed, f"violation {report.statistics['max_violation']}"
+    assert report.statistics["t_grid"][0] == pytest.approx(report.params["alpha"])
+    assert len(report.statistics["t_grid"]) >= 50
+    assert "alpha_point_violation" in report.statistics
 
 
 def test_order_stat_dominance_guards():
@@ -74,7 +74,7 @@ def test_order_stat_dominance_guards():
 
 def test_order_stat_dominance_odd_m_notes_half():
     report = check_order_stat_dominance(Exponential(1.0), 9, 1, 20_000, RNG(3))
-    assert report.notes["odd_m_half"] == 4
+    assert report.statistics["odd_m_half"] == 4
     assert report.passed
 
 
@@ -85,14 +85,14 @@ def test_mhr_scaling_exponential_equality_case():
     # r * min of r Exp(1) draws is again Exp(1): tails agree within bands
     report = check_mhr_scaling(Exponential(1.0), 3, 80_000, RNG(4))
     assert report.passed
-    slack = np.max(np.abs(report.lhs_tail - report.rhs_tail))
+    slack = np.max(np.abs(report.statistics["lhs_tail"] - report.statistics["rhs_tail"]))
     assert slack <= 2 * report.band  # equality, not just dominance
 
 
 def test_mhr_scaling_uniform_passes_with_margin():
     report = check_mhr_scaling(Uniform(0.0, 1.0), 2, 80_000, RNG(5))
     assert report.passed
-    assert report.max_violation < 0
+    assert report.statistics["max_violation"] < 0
 
 
 def test_mhr_scaling_r_one_identity():
@@ -115,8 +115,8 @@ def test_random_copies_deterministic_two_exponential():
     query = CopiesQuery((2,), (1.0,), Exponential(1.0), 2.0, 1)
     check = check_random_copies(query, 120_000, RNG(8))
     assert check.passed
-    assert abs(check.lhs_mean - 1.5) <= 4 * check.lhs_se
-    assert check.rhs_mean == pytest.approx(4.0, rel=0.02)
+    assert abs(check.statistics["lhs_mean"] - 1.5) <= 4 * check.statistics["lhs_se"]
+    assert check.statistics["rhs_mean"] == pytest.approx(4.0, rel=0.02)
 
 
 def test_random_copies_constant_sizes():
@@ -124,8 +124,8 @@ def test_random_copies_constant_sizes():
     query = CopiesQuery((3,), (1.0,), TwoPoint(1.0, 2.0, 0.0), 3.0, 2)
     check = check_random_copies(query, 20_000, RNG(9))
     assert check.passed
-    assert check.lhs_mean == pytest.approx(1.0)
-    assert check.rhs_mean == pytest.approx(4.5)
+    assert check.statistics["lhs_mean"] == pytest.approx(1.0)
+    assert check.statistics["rhs_mean"] == pytest.approx(4.5)
 
 
 def test_random_copies_mixed_counts():
@@ -152,7 +152,7 @@ def test_correlation_gap_independent_joint_ratio_one():
     outcomes = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
     joint = FiniteJoint(outcomes, np.full(4, 0.25))
     check = check_correlation_gap(joint, mode="exact")
-    assert check.ratio == pytest.approx(1.0, abs=1e-12)
+    assert check.statistics["ratio"] == pytest.approx(1.0, abs=1e-12)
     assert check.passed
 
 
@@ -169,8 +169,8 @@ def test_correlation_gap_tight_family_exact():
     assert oracle_ratio == pytest.approx(1.48740, abs=5e-5)
 
     check = check_correlation_gap(one_hot_joint(n), mode="exact")
-    assert check.ratio == pytest.approx(oracle_ratio, rel=1e-12)
-    assert check.ratio <= CORRELATION_GAP_BOUND
+    assert check.statistics["ratio"] == pytest.approx(oracle_ratio, rel=1e-12)
+    assert check.statistics["ratio"] <= CORRELATION_GAP_BOUND
     assert check.passed
     assert CORRELATION_GAP_BOUND == pytest.approx(1.5819767068693265)
 
@@ -179,17 +179,25 @@ def test_correlation_gap_comonotone_pair():
     # X1 = X2 = Bernoulli(1/2): E[max X] = 0.5, E[max Y] = 0.75
     joint = FiniteJoint(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
     check = check_correlation_gap(joint, mode="exact")
-    assert check.details["e_max_joint"] == pytest.approx(0.5)
-    assert check.details["e_max_independent"] == pytest.approx(0.75)
-    assert check.ratio == pytest.approx(2.0 / 3.0)
+    assert check.statistics["e_max_joint"] == pytest.approx(0.5)
+    assert check.statistics["e_max_independent"] == pytest.approx(0.75)
+    assert check.statistics["ratio"] == pytest.approx(2.0 / 3.0)
     assert check.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_correlation_gap_refuses_an_all_zero_joint(mode):
+    # E[max] is 0 on both sides: the ratio has a zero denominator
+    joint = FiniteJoint(np.zeros((2, 3)), np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="mean is zero"):
+        check_correlation_gap(joint, mode=mode, trials=100, rng=RNG(11))
 
 
 def test_correlation_gap_monte_carlo_agrees_with_exact():
     exact = check_correlation_gap(one_hot_joint(5), mode="exact")
     mc = check_correlation_gap(one_hot_joint(5), mode="mc", trials=200_000, rng=RNG(11))
     assert mc.passed
-    assert abs(mc.ratio - exact.ratio) <= 3 * mc.se
+    assert abs(mc.statistics["ratio"] - exact.statistics["ratio"]) <= 3 * mc.statistics["se"]
 
 
 # ---------------------------------------------------------------- OPT ratios
@@ -198,15 +206,15 @@ def test_correlation_gap_monte_carlo_agrees_with_exact():
 def test_opt_ratio_exponential_half():
     check = check_opt_ratio_mhr(Exponential(1.0), 8, 8, 0.5, 150_000, RNG(12))
     assert check.passed
-    assert check.bound == 4.0
+    assert check.statistics["bound"] == 4.0
     # scale property makes the worst-best ratio exactly 2
-    assert abs(check.worst_ratio - 2.0) <= 3 * check.worst_se
+    assert abs(check.statistics["worst_ratio"] - 2.0) <= 3 * check.statistics["worst_se"]
 
 
 def test_opt_ratio_delta_one_identity():
     check = check_opt_ratio_mhr(Exponential(1.0), 4, 4, 1.0, 50_000, RNG(13))
     assert check.passed
-    assert check.worst_ratio == pytest.approx(1.0, abs=0.05)
+    assert check.statistics["worst_ratio"] == pytest.approx(1.0, abs=0.05)
 
 
 def test_opt_ratio_uniform_passes():
@@ -225,7 +233,7 @@ def test_opt_ratio_rejects_non_mhr():
 def test_min_hazard_identity_exponential():
     check = check_min_hazard_identity(Exponential(2.0), 5, np.linspace(0.01, 1.0, 80))
     assert check.passed
-    assert check.max_rel_error <= 1e-10
+    assert check.statistics["max_rel_error"] <= 1e-10
 
 
 def test_min_hazard_identity_uniform_point():
@@ -258,15 +266,15 @@ def test_sieve_unscheduled_exponential():
     assert check.params["beta"] == pytest.approx(0.5)
     # closed-form oracle: 100 * P(min of 10 Exp(1) > 0.5) = 100 e^{-5}
     oracle = 100.0 * math.exp(-5.0)
-    assert abs(check.mean - oracle) <= 4 * check.standard_error
-    assert check.bound == 20.0
+    assert abs(check.statistics["mean"] - oracle) <= 4 * check.statistics["se"]
+    assert check.statistics["bound"] == 20.0
 
 
 def test_sieve_unscheduled_huge_reserve_leaves_nothing():
     # a tiny k drives beta huge; nothing passes the threshold
     rng = RNG(17)
     check = check_sieve_unscheduled(Exponential(1.0), 20, 4, 0.05, 200, rng)
-    assert check.mean == 0.0
+    assert check.statistics["mean"] == 0.0
     assert check.passed
 
 
@@ -284,3 +292,23 @@ def test_json_records_are_serialisable():
     assert '"lemma_id": "mhr-scaling"' in text
     for key in ("lemma_id", "parameters", "trials", "statistics", "band", "pass"):
         assert key in record
+
+
+# ------------------------------------------------------ one-trial estimates
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_random_copies(
+            CopiesQuery((2,), (1.0,), Exponential(1.0), 2.0, 1), 1, RNG(19)
+        ),
+        lambda: check_correlation_gap(one_hot_joint(3), mode="mc", trials=1, rng=RNG(19)),
+        lambda: check_opt_ratio_mhr(Exponential(1.0), 4, 4, 0.5, 1, RNG(19)),
+        lambda: check_sieve_unscheduled(Exponential(1.0), 20, 4, 1.0, 1, RNG(19)),
+    ],
+    ids=["random-copies", "correlation-gap-mc", "opt-ratio-mhr", "sieve-unscheduled"],
+)
+def test_checks_with_a_standard_error_refuse_one_trial(run):
+    with pytest.raises(ValueError, match="trials >= 2"):
+        run()

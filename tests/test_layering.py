@@ -2,7 +2,10 @@
 
 The layers import downward only: ``distributions`` needs no other schedmech
 module, and ``assignment`` works on plain runtime matrices, so it needs
-nothing of the layers that build or consume instances.
+nothing of the layers that build or consume instances.  ``optbounds`` holds
+the estimator helpers that ``checks`` and ``campaign`` share, so it sits
+just above ``distributions``, and ``checks`` stays below the campaign and
+the CLI.
 """
 
 import ast
@@ -51,3 +54,12 @@ def test_distributions_imports_no_other_schedmech_module():
 @pytest.mark.parametrize("upper", ["instances", "mechanisms", "campaign", "checks", "cli"])
 def test_assignment_imports_no_layer_above_it(upper):
     assert upper not in schedmech_imports("assignment")
+
+
+def test_optbounds_imports_only_distributions():
+    assert schedmech_imports("optbounds") <= {"distributions"}
+
+
+@pytest.mark.parametrize("upper", ["campaign", "cli"])
+def test_checks_imports_no_layer_above_it(upper):
+    assert upper not in schedmech_imports("checks")

@@ -8,7 +8,9 @@ from schedmech.optbounds import (
     OptEstimate,
     expected_average_best,
     expected_worst_best,
+    mean_se,
     opt_reference,
+    ratio_se,
     reduced_machine_count,
 )
 
@@ -126,3 +128,19 @@ def test_estimate_validation():
 def test_per_job_spec_list_must_match_n():
     with pytest.raises(ValueError):
         expected_worst_best([Exponential(1.0)] * 3, 2, 2, 10, RNG(15))
+
+
+def test_mean_se_one_sample_and_sample_std():
+    assert mean_se(np.array([3.0])) == (3.0, 0.0)
+    mean, se = mean_se(np.array([1.0, 2.0, 4.0]))
+    assert mean == pytest.approx(7.0 / 3.0)
+    assert se == pytest.approx(math.sqrt(7.0 / 3.0) / math.sqrt(3.0))
+
+
+def test_ratio_se_relative_errors_and_zero_denominator():
+    ratio, se = ratio_se(2.0, 0.2, 4.0, 0.3)
+    assert ratio == 0.5
+    assert se == pytest.approx(0.5 * math.hypot(0.1, 0.075))
+    assert ratio_se(0.0, 0.1, 4.0, 0.3) == (0.0, 0.0)  # a zero numerator adds no error
+    with pytest.raises(ValueError, match="mean is zero"):
+        ratio_se(1.0, 0.1, 0.0, 0.0)
