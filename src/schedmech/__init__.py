@@ -43,9 +43,6 @@ from .distributions import (
 )
 from .instances import (
     Instance,
-    best_runtime,
-    instance_from_json,
-    instance_to_json,
     preference_order,
     rank_runtime,
     sample_instance,

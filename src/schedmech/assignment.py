@@ -67,7 +67,7 @@ class RangeConstraint:
     """Optional restrictions on the schedule range.
 
     cap -- per-machine job-count bound (>= 1).
-    reserve -- dummy-machine runtime (>= 0); dummy capacity is unbounded.
+    reserve -- dummy-machine runtime (finite, >= 0); dummy capacity is unbounded.
     excluded -- machines treated as unavailable.
     """
 
@@ -78,8 +78,8 @@ class RangeConstraint:
     def __post_init__(self):
         if self.cap is not None and self.cap < 1:
             raise ValueError("cap must be >= 1 when present")
-        if self.reserve is not None and self.reserve < 0:
-            raise ValueError("reserve must be >= 0 when present")
+        if self.reserve is not None and not (0 <= self.reserve < math.inf):
+            raise ValueError("reserve must be finite and >= 0 when present")
         object.__setattr__(self, "excluded", frozenset(self.excluded))
 
     def excluding(self, machine: int) -> "RangeConstraint":

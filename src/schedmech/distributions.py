@@ -102,8 +102,8 @@ class Exponential(DistributionSpec):
     family = "exponential"
 
     def __post_init__(self):
-        if not (self.rate > 0):
-            raise ValueError("exponential rate must be positive")
+        if not (0 < self.rate < math.inf):
+            raise ValueError("exponential rate must be finite and positive")
 
     @property
     def mhr(self) -> bool:
@@ -150,8 +150,8 @@ class Uniform(DistributionSpec):
     family = "uniform"
 
     def __post_init__(self):
-        if not (0 <= self.lo < self.hi):
-            raise ValueError("uniform requires 0 <= lo < hi")
+        if not (0 <= self.lo < self.hi < math.inf):
+            raise ValueError("uniform requires 0 <= lo < hi < inf")
 
     @property
     def mhr(self) -> bool:
@@ -200,8 +200,8 @@ class Pareto(DistributionSpec):
     family = "pareto"
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
-            raise ValueError("pareto requires shape > 0 and scale > 0")
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
+            raise ValueError("pareto requires finite shape > 0 and scale > 0")
 
     @property
     def mhr(self) -> bool:
@@ -255,8 +255,8 @@ class TwoPoint(DistributionSpec):
     family = "two-point"
 
     def __post_init__(self):
-        if not (0 <= self.low < self.high):
-            raise ValueError("two-point requires 0 <= low < high")
+        if not (0 <= self.low < self.high < math.inf):
+            raise ValueError("two-point requires 0 <= low < high < inf")
         if not (0 <= self.p_high <= 1):
             raise ValueError("two-point requires p_high in [0, 1]")
 

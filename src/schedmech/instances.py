@@ -7,23 +7,19 @@ that job's own distribution.  Instances are immutable after sampling.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DistributionSpec, parse_distribution
+from .distributions import DistributionSpec
 
 __all__ = [
     "Instance",
     "sample_instance",
     "runtime_sampler",
-    "best_runtime",
     "rank_runtime",
     "preference_order",
-    "instance_to_json",
-    "instance_from_json",
 ]
 
 
@@ -52,11 +48,6 @@ class Instance:
     @property
     def m(self) -> int:
         return self.runtimes.shape[1]
-
-    @property
-    def eta(self) -> float:
-        """Load factor: jobs per machine."""
-        return self.n / self.m
 
 
 def sample_instance(
@@ -96,17 +87,6 @@ def runtime_sampler(
     return fill
 
 
-def best_runtime(inst: Instance, j: int, machines: Iterable[int] | None = None) -> float:
-    """Minimum runtime of job j over the given machine subset (default: all)."""
-    row = inst.runtimes[j]
-    if machines is None:
-        return float(row.min())
-    idx = np.fromiter(machines, dtype=int)
-    if idx.size == 0:
-        raise ValueError("machine subset must be nonempty")
-    return float(row[idx].min())
-
-
 def rank_runtime(inst: Instance, j: int, r: int) -> float:
     """The r-th smallest entry of job j's row (1-based)."""
     if not (1 <= r <= inst.m):
@@ -114,30 +94,6 @@ def rank_runtime(inst: Instance, j: int, r: int) -> float:
     return float(np.sort(inst.runtimes[j])[r - 1])
 
 
-def preference_order(inst: Instance, j: int, machines: Iterable[int] | None = None) -> np.ndarray:
+def preference_order(inst: Instance, j: int) -> np.ndarray:
     """Machines sorted by job j's runtime, ties to the lowest index."""
-    if machines is None:
-        idx = np.arange(inst.m)
-    else:
-        idx = np.fromiter(machines, dtype=int)
-    order = np.argsort(inst.runtimes[j, idx], kind="stable")
-    return idx[order]
-
-
-def instance_to_json(inst: Instance) -> str:
-    """Serialize as {n, m, runtimes (row-major), specs (spec strings)}."""
-    return json.dumps(
-        {
-            "n": inst.n,
-            "m": inst.m,
-            "runtimes": inst.runtimes.ravel().tolist(),
-            "specs": [spec.spec_string for spec in inst.specs],
-        }
-    )
-
-
-def instance_from_json(text: str) -> Instance:
-    obj = json.loads(text)
-    runtimes = np.asarray(obj["runtimes"], dtype=float).reshape(obj["n"], obj["m"])
-    specs = tuple(parse_distribution(s) for s in obj["specs"])
-    return Instance(runtimes, specs)
+    return np.argsort(inst.runtimes[j], kind="stable")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -121,14 +121,14 @@ class MechanismConfig:
     def __post_init__(self):
         if self.kind not in MECHANISM_KINDS:
             raise ValueError(f"unknown mechanism kind {self.kind!r}")
-        if not (self.c > 1):
-            raise ValueError("overload factor c must exceed 1")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("reserve beta must be nonnegative")
+        if not (1 < self.c < math.inf):
+            raise ValueError("overload factor c must be finite and exceed 1")
+        if self.beta is not None and not (0 <= self.beta < math.inf):
+            raise ValueError("reserve beta must be finite and nonnegative")
         if self.delta is not None and not (0 < self.delta < 1):
             raise ValueError("partition delta must lie in (0, 1)")
-        if self.k is not None and not (self.k > 0):
-            raise ValueError("sieve parameter k must be positive")
+        if self.k is not None and not (0 < self.k < math.inf):
+            raise ValueError("sieve parameter k must be finite and positive")
 
     @property
     def uses_reserve(self) -> bool:
@@ -164,16 +164,13 @@ class _Stage:
     """One exact total-work minimization inside a mechanism.
 
     ``runtimes`` holds the rows of ``jobs`` (indices into the full instance);
-    machines outside the stage are in ``rc.excluded``.  ``label`` names the
-    stage in the per-job labels of the combined mechanism and is None for
-    the single-stage ones.  The schedule and the payments are computed on
-    first access.
+    machines outside the stage are in ``rc.excluded``.  The schedule and the
+    payments are computed on first access.
     """
 
     jobs: np.ndarray
     runtimes: np.ndarray
     rc: RangeConstraint
-    label: str | None = None
 
     @cached_property
     def schedule(self) -> Schedule:
@@ -227,68 +224,22 @@ def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
     is skipped when the sieve leaves no job over.
     """
     first, then = stage_ranges(config, inst.n, inst.m)
+    head = _Stage(np.arange(inst.n), inst.runtimes, first)
+    yield head
     if then is None:
-        yield _Stage(np.arange(inst.n), inst.runtimes, first)
         return
-    sieve = _Stage(np.arange(inst.n), inst.runtimes, first, "sieve")
-    yield sieve
-    leftover = np.flatnonzero(sieve.schedule.assignment == UNSCHEDULED)
+    leftover = np.flatnonzero(head.schedule.assignment == UNSCHEDULED)
     if leftover.size:
-        yield _Stage(leftover, inst.runtimes[leftover], then(leftover.size), "overload")
+        yield _Stage(leftover, inst.runtimes[leftover], then(leftover.size))
 
 
 @dataclass(frozen=True, eq=False)
 class Outcome:
-    """A mechanism run: schedule, payments, and placement diagnostics.
-
-    ``ranks[j]`` is the 1-based rank of job j's machine in its preference
-    order among the machines of the job's last stage, or -1 if unscheduled.
-    ``stages`` labels each job "sieve" / "overload" / "unscheduled" for the
-    combined mechanism and is None otherwise.  Campaigns read neither, so
-    both are computed from ``parts`` (the stages, in run order) on first
-    access.  ``payments`` is None when the caller skipped payment
-    computation.
-    """
+    """A mechanism run: the schedule, and each machine's payment (None when
+    the caller skipped payment computation)."""
 
     schedule: Schedule
     payments: np.ndarray | None
-    parts: tuple[_Stage, ...] = field(repr=False)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        ranks = np.full(self.schedule.assignment.size, UNSCHEDULED)
-        for stage in self.parts:
-            placed = stage.schedule.assignment
-            ranks[stage.jobs] = _ranks_within(stage.runtimes, placed, stage.machines)
-        return ranks
-
-    @cached_property
-    def stages(self) -> tuple[str, ...] | None:
-        if self.parts[0].label is None:
-            return None
-        labels = np.empty(self.schedule.assignment.size, dtype=object)
-        for stage in self.parts:
-            placed = stage.schedule.assignment != UNSCHEDULED
-            labels[stage.jobs] = np.where(placed, stage.label, "unscheduled")
-        return tuple(labels.tolist())
-
-
-def _ranks_within(runtimes: np.ndarray, assignment: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """1-based preference rank of each job's machine among the pool machines.
-
-    Rank follows the preference order with ties broken toward lower machine
-    indices, matching :func:`schedmech.instances.preference_order`.
-    """
-    ranks = np.full(runtimes.shape[0], UNSCHEDULED)
-    jobs = np.flatnonzero(assignment != UNSCHEDULED)
-    if jobs.size == 0:
-        return ranks
-    sub = runtimes[np.ix_(jobs, pool)]
-    own = runtimes[jobs, assignment[jobs]]
-    less = (sub < own[:, None]).sum(axis=1)
-    eq_before = ((sub == own[:, None]) & (pool[None, :] < assignment[jobs, None])).sum(axis=1)
-    ranks[jobs] = 1 + less + eq_before
-    return ranks
 
 
 def _stage_payments(stage: _Stage) -> np.ndarray:
@@ -464,7 +415,7 @@ def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: boo
         payments = np.zeros(inst.m)
         for stage in parts:
             payments += _clarke_payments(stage, schedule)
-    return Outcome(schedule=schedule, payments=payments, parts=parts)
+    return Outcome(schedule=schedule, payments=payments)
 
 
 def run_minimum_work(inst: Instance, compute_payments: bool = True) -> Outcome:

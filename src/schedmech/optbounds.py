@@ -132,7 +132,10 @@ def expected_average_best(
 
 
 def reduced_machine_count(m: int, delta: float) -> int:
-    """round(delta * m), half away from zero; errors when delta * m < 1."""
+    """round(delta * m), half away from zero; errors unless delta lies in
+    (0, 1] and delta * m >= 1."""
+    if not (0 < delta <= 1):
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     raw = delta * m
     if raw < 1.0 - 1e-12:
         raise ValueError(f"delta*m = {raw:.3g} < 1: the reduced count needs at least one machine")

@@ -554,6 +554,11 @@ def test_cli_dist_parsing_matches_api():
              "--reference", "opt-half", "--trials", "4", "--paired"],
             "mean is zero",
         ),
+        (["ic-audit", "--mechanism", "sieve", "--beta", "nan", "--trials", "2"], "finite"),
+        (["simulate", "--mechanism", "bounded-overload", "--c", "inf", "--trials", "2"], "finite"),
+        (["simulate", "--dist", "uniform:0,inf", "--trials", "2"], "uniform requires"),
+        (["bounds", "--delta", "2", "--m", "16", "--trials", "2"], "(0, 1]"),
+        (["bounds", "--delta", "nan", "--trials", "2"], "(0, 1]"),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):

@@ -209,6 +209,9 @@ def test_opt_ratio_exponential_half():
     assert check.statistics["bound"] == 4.0
     # scale property makes the worst-best ratio exactly 2
     assert abs(check.statistics["worst_ratio"] - 2.0) <= 3 * check.statistics["worst_se"]
+    # the band is the larger slack of the pass rule, in ratio units
+    stats = check.statistics
+    assert check.band == 3 * max(stats["worst_se"], stats["average_se"])
 
 
 def test_opt_ratio_delta_one_identity():
@@ -225,6 +228,12 @@ def test_opt_ratio_uniform_passes():
 def test_opt_ratio_rejects_non_mhr():
     with pytest.raises(ValueError):
         check_opt_ratio_mhr(Pareto(2.0, 1.0), 4, 4, 0.5, 100, RNG(15))
+
+
+@pytest.mark.parametrize("delta", [0.0, 1.5, math.nan])
+def test_opt_ratio_rejects_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        check_opt_ratio_mhr(Exponential(1.0), 4, 4, delta, 100, RNG(15))
 
 
 # -------------------------------------------------------- min hazard identity

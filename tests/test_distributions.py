@@ -54,6 +54,18 @@ ALL_SPECS = [
         lambda: TwoPoint(1.0, 10.0, 1.5),
         lambda: Empirical(np.array([])),
         lambda: Empirical(np.array([-1.0, 2.0])),
+        # non-finite parameters
+        lambda: Exponential(math.inf),
+        lambda: Exponential(math.nan),
+        lambda: Uniform(0.0, math.inf),
+        lambda: Uniform(math.nan, 1.0),
+        lambda: Pareto(math.inf, 1.0),
+        lambda: Pareto(2.0, math.inf),
+        lambda: Pareto(math.nan, 1.0),
+        lambda: TwoPoint(1.0, math.inf, 0.5),
+        lambda: TwoPoint(math.nan, 1.0, 0.5),
+        lambda: TwoPoint(1.0, 2.0, math.nan),
+        lambda: Empirical(np.array([1.0, math.inf])),
     ],
 )
 def test_invalid_parameters_rejected(bad):

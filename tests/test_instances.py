@@ -4,9 +4,6 @@ import pytest
 from schedmech.distributions import Exponential, TwoPoint, Uniform
 from schedmech.instances import (
     Instance,
-    best_runtime,
-    instance_from_json,
-    instance_to_json,
     preference_order,
     rank_runtime,
     sample_instance,
@@ -16,7 +13,7 @@ from schedmech.instances import (
 def test_degenerate_single_cell():
     inst = sample_instance([TwoPoint(1.0, 10.0, 0.0)], 1, np.random.default_rng(0))
     assert inst.runtimes.tolist() == [[1.0]]
-    assert inst.n == 1 and inst.m == 1 and inst.eta == 1.0
+    assert inst.n == 1 and inst.m == 1
 
 
 def test_continuous_entries_distinct():
@@ -50,15 +47,6 @@ def _row_instance(row):
     return Instance(np.array([row]), (Uniform(0.0, 100.0),))
 
 
-def test_best_runtime_examples():
-    inst = _row_instance([3.0, 1.0, 2.0])
-    assert best_runtime(inst, 0) == 1.0
-    assert best_runtime(inst, 0, machines=[0]) == 3.0
-    assert best_runtime(inst, 0, machines=[2]) == inst.runtimes[0, 2]
-    with pytest.raises(ValueError):
-        best_runtime(inst, 0, machines=[])
-
-
 def test_rank_runtime_examples():
     inst = _row_instance([3.0, 1.0, 2.0])
     assert rank_runtime(inst, 0, 1) == 1.0
@@ -75,7 +63,7 @@ def test_rank_one_equals_best_and_multiset_preserved():
     rng = np.random.default_rng(3)
     inst = sample_instance([Exponential(1.0)] * 5, 4, rng)
     for j in range(inst.n):
-        assert rank_runtime(inst, j, 1) == best_runtime(inst, j)
+        assert rank_runtime(inst, j, 1) == inst.runtimes[j].min()
         ranked = [rank_runtime(inst, j, r) for r in range(1, inst.m + 1)]
         assert sorted(ranked) == sorted(inst.runtimes[j].tolist())
 
@@ -83,14 +71,6 @@ def test_rank_one_equals_best_and_multiset_preserved():
 def test_preference_order_breaks_ties_by_index():
     inst = _row_instance([2.0, 1.0, 1.0])
     assert preference_order(inst, 0).tolist() == [1, 2, 0]
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(4)
-    inst = sample_instance([Exponential(1.0), TwoPoint(1.0, 10.0, 0.5)], 3, rng)
-    clone = instance_from_json(instance_to_json(inst))
-    assert np.array_equal(clone.runtimes, inst.runtimes)
-    assert [s.spec_string for s in clone.specs] == [s.spec_string for s in inst.specs]
 
 
 def test_instances_are_immutable():

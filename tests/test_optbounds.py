@@ -114,8 +114,11 @@ def test_reduced_machine_count_rounding():
     assert reduced_machine_count(4, 0.5) == 2
     assert reduced_machine_count(3, 0.5) == 2  # 1.5 rounds half up
     assert reduced_machine_count(32, 1.0 / 3.0) == 11
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one machine"):
         reduced_machine_count(1, 0.5)
+    for delta in (0.0, -0.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            reduced_machine_count(16, delta)
 
 
 def test_estimate_validation():
