@@ -10,19 +10,18 @@ for a given configuration.
 Trials run serially in fixed blocks of about ``_BLOCK_CELLS`` runtime
 entries.  Each trial still draws from its own seeded generator, straight
 into the block's ``(B, n, m)`` buffer; the rest is array operations over
-the block.  Each stage of the mechanism is one argmin over the block (with
-the sieve's reserve as a mask), and loads and works are one ``bincount``.
-A trial in which a capacitated stage's argmin breaks the cap is run alone
-through :func:`schedmech.mechanisms.run_mechanism`, so its schedule is the
-scalar one.  The greedy first-best column is computed for the whole block
+the block.  :func:`schedmech.mechanisms.place` runs each stage of the
+mechanism as one argmin over the block, and solves a trial's stage alone
+where its argmin breaks the cap; loads and works are one ``bincount``.
+The greedy first-best column is computed for the whole block
 by :func:`schedmech.assignment.greedy_makespans`.  The block size changes
 no number in a report.  ``threads`` is accepted but has no effect.
 
 Report layout (CSV): `#`-prefixed header lines carry the configuration
 echo, a version string and the aggregate statistics (among them the
 deterministic counter ``cap_bound_trials``: the trials in which a
-capacitated stage's argmin broke its cap, so that the scalar path ran);
-then one row per trial
+capacitated stage's argmin broke its cap, so that the stage was solved
+alone); then one row per trial
 with columns ``trial,makespan,total_work,max_load,stage1_makespan,
 stage2_makespan,greedy_first_best,seed`` (empty fields where a column does
 not apply).  The JSON format mirrors the same fields.
@@ -41,19 +40,19 @@ import numpy as np
 
 from . import __version__
 
-# first_best_makespan_greedy and sample_instance are no longer called here;
-# the names stay importable from this module because perfbench's tracer
-# tests look them up.
+# first_best_makespan_greedy, sample_instance and run_mechanism are no
+# longer called here; the names stay importable from this module because
+# perfbench's tracer tests look them up.
 from .assignment import (  # noqa: F401
     UNSCHEDULED,
-    argmin_assignment,
     available_machines,
     first_best_makespan_greedy,
     greedy_makespans,
 )
 from .distributions import DistributionSpec
-from .instances import Instance, runtime_sampler, sample_instance  # noqa: F401
-from .mechanisms import MechanismConfig, derive_reserve, overload_cap, run_mechanism, stage_ranges
+from .instances import runtime_sampler, sample_instance  # noqa: F401
+from .mechanisms import MechanismConfig, derive_reserve, overload_cap, place, stage_ranges
+from .mechanisms import run_mechanism  # noqa: F401
 from .optbounds import (
     OptEstimate,
     larger_bound,
@@ -248,38 +247,13 @@ def _per_machine(trial: np.ndarray, machine: np.ndarray, shape: tuple[int, int],
     return np.bincount(trial * m + machine, weights, minlength=trials * m).reshape(trials, m)
 
 
-def _schedule_block(cfg: ExperimentConfig, mech: MechanismConfig, ranges, runtimes: np.ndarray):
-    """The mechanism on every trial of ``runtimes`` (``(B, n, m)``), whose
-    ranges are ``ranges`` (from :func:`stage_ranges`): each trial's loads
-    and works, ``(B, m)``, and which trials had a capacitated stage whose
-    argmin broke its cap.
-
-    Each stage is its argmin rule over the whole block.  A trial in which
-    the cap binds is run through :func:`run_mechanism` on its own instead,
-    so its schedule is exactly the scalar one.  Loads and works are one
-    ``bincount`` over the block in (trial, job) order, so each sum adds in
-    the order of ``schedule_from_assignment``.
-    """
-    trials, n, m = runtimes.shape
-    first, then = ranges
-    assignment = argmin_assignment(runtimes, available_machines(m, first), first.reserve)
-    bound = np.zeros(trials, dtype=bool)
-    if first.cap is not None:
-        trial, job = np.nonzero(assignment != UNSCHEDULED)
-        bound |= (_per_machine(trial, assignment[trial, job], (trials, m)) > first.cap).any(axis=1)
-    if then is not None:
-        trial, job = np.nonzero(assignment == UNSCHEDULED)
-        second = then(1)  # only its cap depends on the number of leftovers
-        placed = argmin_assignment(
-            runtimes[trial, job], available_machines(m, second), second.reserve
-        )
-        caps = [[then(int(u)).cap if u else 1] for u in np.bincount(trial, minlength=trials)]
-        bound |= (_per_machine(trial, placed, (trials, m)) > np.array(caps)).any(axis=1)
-        assignment[trial, job] = placed
-    for b in np.flatnonzero(bound):
-        outcome = run_mechanism(mech, Instance(runtimes[b], cfg.job_specs), compute_payments=False)
-        assignment[b] = outcome.schedule.assignment
-
+def _schedule_block(cfg: ExperimentConfig, mech: MechanismConfig, runtimes: np.ndarray):
+    """The mechanism on every trial of ``runtimes`` (``(B, n, m)``) through
+    :func:`place`: each trial's loads and works, ``(B, m)``, one ``bincount``
+    in (trial, job) order so that each sum adds in the order of
+    ``schedule_from_assignment``, and :func:`place`'s binding mask."""
+    trials, _, m = runtimes.shape
+    assignment, _, bound = place(mech, runtimes)
     placed = assignment != UNSCHEDULED
     chosen = np.take_along_axis(runtimes, np.maximum(assignment, 0)[..., None], axis=2)[..., 0]
     trial, job = np.nonzero(placed)
@@ -299,9 +273,9 @@ def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
     sample = runtime_sampler(cfg.job_specs)
     block = max(1, _BLOCK_CELLS // (n * m))
     buffer = np.empty((min(block, cfg.trials), n, m))
-    first, then = stage_ranges(mech, n, m)
+    stages = stage_ranges(mech, m)
     in_first = np.zeros(m, dtype=bool)
-    in_first[available_machines(m, first)] = True
+    in_first[available_machines(m, stages[0](n))] = True
     delta = cfg.reference_delta
     reduced = reduced_machine_count(m, delta) if cfg.paired and delta is not None else None
     rows, paired = [], []
@@ -316,10 +290,10 @@ def _run_trials(cfg: ExperimentConfig, mech: MechanismConfig):
         if not (runtimes.min() >= 0 and np.isfinite(runtimes.max())):
             raise ValueError("runtimes must be finite and nonnegative")
 
-        loads, works, bound = _schedule_block(cfg, mech, (first, then), runtimes)
+        loads, works, bound = _schedule_block(cfg, mech, runtimes)
         bound_trials += int(bound.sum())
         stage1 = stage2 = [None] * count
-        if then is not None:
+        if len(stages) > 1:
             stage1 = works[:, in_first].max(axis=1).tolist()
             stage2 = works[:, ~in_first].max(axis=1).tolist()
         columns = zip(

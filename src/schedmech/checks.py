@@ -38,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .assignment import UNSCHEDULED
 from .distributions import (
     DistributionSpec,
     OrderStatQuery,
@@ -46,8 +47,7 @@ from .distributions import (
     sample_min_of_k,
     sample_order_stat,
 )
-from .instances import sample_instance
-from .mechanisms import derive_reserve, run_sieve
+from .mechanisms import MechanismConfig, derive_reserve, place
 from .optbounds import (
     expected_average_best,
     expected_worst_best,
@@ -490,11 +490,12 @@ def check_sieve_unscheduled(
     """Mean unscheduled count under the count-target reserve vs k*m."""
     _need_se_trials(trials)
     beta = derive_reserve(spec, n, m, rule="count-target", k=k)
-    counts = np.empty(trials)
-    specs = [spec] * n
-    for t in range(trials):
-        inst = sample_instance(specs, m, rng)
-        counts[t] = run_sieve(inst, beta, compute_payments=False).schedule.n_unscheduled
+    sieve = MechanismConfig("sieve", beta=beta)
+    counts = _sample_chunked(
+        lambda c: (place(sieve, spec.sample(rng, (c, n, m)))[0] == UNSCHEDULED).sum(axis=1),
+        trials,
+        n * m,
+    )
     mean, se = mean_se(counts)
     bound = k * m
     return CheckResult(

@@ -46,7 +46,12 @@ from .mechanisms import (
     PaymentInfeasibleError,
     ic_audit,
 )
-from .optbounds import expected_average_best, expected_worst_best, opt_reference
+from .optbounds import (
+    expected_average_best,
+    expected_worst_best,
+    opt_reference,
+    reduced_machine_count,
+)
 
 __all__ = ["main", "entrypoint"]
 
@@ -245,6 +250,7 @@ def _cmd_ic_audit(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.trials < 2:
         raise ValueError("bounds needs --trials >= 2 for its standard errors")
+    reduced_machine_count(args.m, args.delta)  # refuse a bad delta before drawing
     spec = parse_distribution(args.dist)
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 1)))
     wb = expected_worst_best(spec, args.n, args.m, args.trials, rng)

@@ -17,11 +17,11 @@ built from exact total-work minimizers over fixed outcome ranges:
 Each minimizer is a stage: a job subset, its runtime rows (a plain matrix;
 only the caller's ``Instance`` is validated) and its range, with the machines
 outside the stage excluded from the range.  The first three mechanisms are
-one stage; the combined one chains two, the second built from the first's
-leftovers.  :func:`_stages` is the one place that turns a
-:class:`MechanismConfig` into stages; the runner, the payments and the audit
-all work on what it yields.  Payments are stage-local: a machine's pivot
-removes it from its own stage only.
+one stage; the combined one chains two, the second on the first's leftovers.
+:func:`place` is the one engine that runs the stages, on a stack of runtime
+matrices; the runner, the payments and the audit read one matrix's stages
+from :func:`_stages`.  Payments are stage-local: a machine's pivot removes it
+from its own stage only.
 
 A machine's pivot is the stage's optimum with the machine excluded from
 the range, not a fake infinite report.  It is not re-solved:
@@ -45,7 +45,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -74,6 +74,7 @@ __all__ = [
     "overload_cap",
     "partition_sizes",
     "stage_ranges",
+    "place",
     "run_minimum_work",
     "run_bounded_overload",
     "run_sieve",
@@ -144,9 +145,9 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def overload_cap(n: int, m: int, c: float) -> int:
-    """Per-machine job bound ceil(c * n / m)."""
-    return _ceil_tol(c * n / m)
+def overload_cap(jobs: int, machines: int, c: float) -> int:
+    """Per-machine job bound ceil(c * jobs / machines)."""
+    return _ceil_tol(c * jobs / machines)
 
 
 def partition_sizes(m: int, delta: float) -> tuple[int, int]:
@@ -161,20 +162,17 @@ def partition_sizes(m: int, delta: float) -> tuple[int, int]:
 
 @dataclass(eq=False)
 class _Stage:
-    """One exact total-work minimization inside a mechanism.
+    """One exact total-work minimization inside a mechanism, as run by :func:`place`.
 
-    ``runtimes`` holds the rows of ``jobs`` (indices into the full instance);
-    machines outside the stage are in ``rc.excluded``.  The schedule and the
-    payments are computed on first access.
+    ``runtimes`` holds the rows of ``jobs`` (indices into the full instance)
+    and ``schedule`` their placement; machines outside the stage are in
+    ``rc.excluded``.  The payments are computed on first access.
     """
 
     jobs: np.ndarray
     runtimes: np.ndarray
     rc: RangeConstraint
-
-    @cached_property
-    def schedule(self) -> Schedule:
-        return solve_min_work(self.runtimes, self.rc)
+    schedule: Schedule
 
     @cached_property
     def machines(self) -> np.ndarray:
@@ -185,52 +183,81 @@ class _Stage:
         return _stage_payments(self)
 
 
-def stage_ranges(
-    config: MechanismConfig, n: int, m: int
-) -> tuple[RangeConstraint, Callable[[int], RangeConstraint] | None]:
-    """The mechanism's ranges on n jobs and m machines; the one branch on
-    ``config.kind``.
-
-    Returns the first stage's range and, for the combined mechanism, the
-    rule that gives the overload stage's range from the number of jobs the
-    sieve leaves over (None for the single-stage mechanisms).
-    """
+def stage_ranges(config: MechanismConfig, m: int) -> list[Callable[[int], RangeConstraint]]:
+    """The mechanism's stages on m machines in run order, each a rule from the
+    number of jobs it receives (all of them for the first, the sieve's
+    leftovers for the overload stage) to its range; the one branch on
+    ``config.kind``.  Within a stage only the cap depends on that number."""
     if config.uses_reserve and config.beta is None:
         raise ValueError(f"{config.kind} requires an explicit reserve beta")
     if config.kind == "minimum-work":
-        return RangeConstraint(), None
+        return [lambda jobs: RangeConstraint()]
     if config.kind == "bounded-overload":
-        return RangeConstraint(cap=overload_cap(n, m, config.c)), None
+        return [lambda jobs: RangeConstraint(cap=overload_cap(jobs, m, config.c))]
     if config.kind == "sieve":
-        return RangeConstraint(reserve=config.beta), None
+        return [lambda jobs: RangeConstraint(reserve=config.beta)]
     if config.delta is None:
         raise ValueError("sieve-bounded-overload requires a partition delta")
     m1, m2 = partition_sizes(m, config.delta)
+    sieve = RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m)))
 
-    def overload(leftovers: int) -> RangeConstraint:
-        # m2 * cap >= leftovers, so every leftover job is scheduled here.
-        cap = max(1, _ceil_tol(config.c * leftovers / m2))
-        return RangeConstraint(cap=cap, excluded=frozenset(range(m1)))
+    def overload(jobs: int) -> RangeConstraint:
+        # m2 * cap >= jobs, so every leftover job is scheduled here
+        return RangeConstraint(cap=max(1, overload_cap(jobs, m2, config.c)), excluded=range(m1))
 
-    return RangeConstraint(reserve=config.beta, excluded=frozenset(range(m1, m))), overload
+    return [lambda jobs: sieve, overload]
 
 
-def _stages(config: MechanismConfig, inst: Instance) -> Iterator[_Stage]:
-    """The mechanism's stages in run order, with the ranges of
-    :func:`stage_ranges`.
+def place(config: MechanismConfig, runtimes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The mechanism on a ``(B, n, m)`` stack: the assignment ``(B, n)``, the
+    stage that placed each job or last left it unscheduled ``(B, n)``, and
+    which matrices had a capacitated stage whose argmin broke its cap ``(B,)``.
+    The first stage takes every job, a later one those still unscheduled, as
+    one argmin over its rows of the whole stack; a matrix whose argmin breaks
+    the cap has the stage solved alone by :func:`solve_min_work`."""
+    trials, n, m = runtimes.shape
+    rows = runtimes.reshape(trials * n, m)
+    assignment = np.full(trials * n, UNSCHEDULED)
+    decided = np.zeros(trials * n, dtype=int)
+    binding = np.zeros(trials, dtype=bool)
+    take, sizes = slice(None), np.full(trials, n)  # every job, as a view
+    for index, rule in enumerate(stage_ranges(config, m)):
+        if index:
+            take = np.flatnonzero(assignment == UNSCHEDULED)
+            sizes = np.bincount(take // n, minlength=trials)
+        decided[take] = index
+        stage_rows = rows[take]
+        counts = sizes.tolist()
+        ranges = {count: rule(count) for count in set(counts)}
+        rc = ranges[counts[0]]  # the ranges differ in their cap only
+        placed = argmin_assignment(stage_rows, available_machines(m, rc), rc.reserve)
+        if rc.cap is not None:
+            on = placed != UNSCHEDULED
+            trial = np.repeat(np.arange(trials), sizes)[on]
+            loads = np.bincount(trial * m + placed[on], minlength=trials * m).reshape(trials, m)
+            over = np.flatnonzero(loads.max(axis=1) > [ranges[count].cap for count in counts])
+            binding[over] = True
+            starts = np.cumsum(sizes) - sizes
+            for b in over:
+                mine = slice(starts[b], starts[b] + counts[b])
+                placed[mine] = solve_min_work(stage_rows[mine], ranges[counts[b]]).assignment
+        assignment[take] = placed
+    return assignment.reshape(trials, n), decided.reshape(trials, n), binding
 
-    A generator, so a caller that stops at the first stage never solves it;
-    the combined mechanism's overload stage needs the sieve's schedule, and
-    is skipped when the sieve leaves no job over.
-    """
-    first, then = stage_ranges(config, inst.n, inst.m)
-    head = _Stage(np.arange(inst.n), inst.runtimes, first)
-    yield head
-    if then is None:
-        return
-    leftover = np.flatnonzero(head.schedule.assignment == UNSCHEDULED)
-    if leftover.size:
-        yield _Stage(leftover, inst.runtimes[leftover], then(leftover.size))
+
+def _stages(config: MechanismConfig, runtimes: np.ndarray) -> tuple[np.ndarray, list[_Stage]]:
+    """One ``(n, m)`` matrix's assignment from :func:`place`, and the stages
+    that received a job, each with its jobs, rows, range and schedule."""
+    (assignment,), (decided,), _ = place(config, runtimes[None])
+    parts = []
+    for index, rule in enumerate(stage_ranges(config, runtimes.shape[1])):
+        jobs = np.flatnonzero(decided >= index)
+        if not jobs.size:
+            break
+        rows = runtimes[jobs] if index else runtimes
+        mine = np.where(decided[jobs] == index, assignment[jobs], UNSCHEDULED)
+        parts.append(_Stage(jobs, rows, rule(jobs.size), schedule_from_assignment(rows, mine)))
+    return assignment, parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,13 +430,8 @@ def _clarke_payments(
 
 def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:
     """Run the mechanism's stages; each job is placed by its last stage."""
-    parts = tuple(_stages(config, inst))
-    schedule = parts[0].schedule
-    if len(parts) > 1:
-        assignment = np.array(schedule.assignment)
-        for stage in parts[1:]:
-            assignment[stage.jobs] = stage.schedule.assignment
-        schedule = schedule_from_assignment(inst.runtimes, assignment)
+    assignment, parts = _stages(config, inst.runtimes)
+    schedule = schedule_from_assignment(inst.runtimes, assignment)
     payments = None
     if compute_payments:
         payments = np.zeros(inst.m)
@@ -440,12 +462,8 @@ def run_sieve_bounded_overload(
     delta: float,
     compute_payments: bool = True,
 ) -> Outcome:
-    """Sieve on the first machine set, bounded overload on the rest.
-
-    The overload stage caps each of its machines at
-    ``max(1, ceil(c * u / m2))`` where ``u`` counts the sieve's unscheduled
-    jobs, so every job ends up scheduled by exactly one stage.
-    """
+    """Sieve on the first machine set, then bounded overload on its leftovers
+    over the rest, with the overload cap of :func:`stage_ranges`."""
     return run_mechanism(
         MechanismConfig("sieve-bounded-overload", c=c, beta=beta, delta=delta), inst, compute_payments
     )
@@ -608,7 +626,7 @@ def ic_audit(config: MechanismConfig, inst: Instance) -> list[IcViolation]:
     it does not depend on the machine's report.
     """
     violations: list[IcViolation] = []
-    parts = tuple(_stages(config, inst))
+    _, parts = _stages(config, inst.runtimes)
     for i in range(inst.m):
         stage = next((s for s in parts if i not in s.rc.excluded), None)
         if stage is None:

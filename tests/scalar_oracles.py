@@ -6,9 +6,9 @@ paths must match, written without the library's helpers for those paths.
 
 import numpy as np
 
-from schedmech.assignment import RangeConstraint, solve_min_work
+from schedmech.assignment import UNSCHEDULED, RangeConstraint, solve_min_work
 from schedmech.instances import preference_order
-from schedmech.mechanisms import overload_cap
+from schedmech.mechanisms import overload_cap, partition_sizes
 
 
 def scalar_greedy(runtimes):
@@ -23,6 +23,30 @@ def scalar_greedy(runtimes):
         i = int(np.argmin(works + runtimes[j]))
         works[i] += runtimes[j, i]
     return float(works.max())
+
+
+def staged_assignment(config, runtimes):
+    """A mechanism's assignment of one ``(n, m)`` matrix, a stage at a time
+    with the one-matrix solver: every job on the first range; for the
+    combined mechanism, then the sieve's u leftovers on the overload set,
+    each of its m2 machines capped at ``max(1, overload_cap(u, m2, c))``."""
+    n, m = runtimes.shape
+    if config.kind == "minimum-work":
+        first = RangeConstraint()
+    elif config.kind == "bounded-overload":
+        first = RangeConstraint(cap=overload_cap(n, m, config.c))
+    elif config.kind == "sieve":
+        first = RangeConstraint(reserve=config.beta)
+    else:
+        m1, m2 = partition_sizes(m, config.delta)
+        first = RangeConstraint(reserve=config.beta, excluded=range(m1, m))
+    assignment = solve_min_work(runtimes, first).assignment.copy()
+    left = np.flatnonzero(assignment == UNSCHEDULED)
+    if config.kind == "sieve-bounded-overload" and left.size:
+        cap = max(1, overload_cap(left.size, m2, config.c))
+        second = RangeConstraint(cap=cap, excluded=range(m1))
+        assignment[left] = solve_min_work(runtimes[left], second).assignment
+    return assignment
 
 
 def last_entry_rank_by_solve(inst, c, j):

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from schedmech import campaign
+from schedmech import campaign, cli, mechanisms
+from schedmech.assignment import schedule_from_assignment
 from schedmech.campaign import (
     REPORT_COLUMNS,
     CampaignResult,
@@ -23,10 +24,10 @@ from schedmech.campaign import (
 from schedmech.cli import entrypoint, main
 from schedmech.distributions import Exponential, TwoPoint, Uniform, parse_distribution
 from schedmech.instances import sample_instance
-from schedmech.mechanisms import MechanismConfig, partition_sizes, run_mechanism
+from schedmech.mechanisms import MechanismConfig, partition_sizes
 from schedmech.optbounds import reduced_machine_count
 
-from scalar_oracles import scalar_greedy
+from scalar_oracles import scalar_greedy, staged_assignment
 
 
 def config(**overrides):
@@ -69,7 +70,7 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
 
 
 def recomputed(cfg):
-    """Each trial on its own, through the scalar path: seed, sample, run.
+    """Each trial on its own, a stage at a time: seed, sample, solve.
 
     Returns the rows, and each trial's worst-best and average-best runtime
     on the paired reference's machines (empty without a paired reference).
@@ -79,7 +80,7 @@ def recomputed(cfg):
     for t in range(cfg.trials):
         seed = derive_trial_seed(cfg.master_seed, 0, t)
         inst = sample_instance(cfg.job_specs, cfg.m, np.random.default_rng(seed))
-        sched = run_mechanism(mech, inst, compute_payments=False).schedule
+        sched = schedule_from_assignment(inst.runtimes, staged_assignment(mech, inst.runtimes))
         stages = (None, None)
         if mech.kind == "sieve-bounded-overload":
             m1, _ = partition_sizes(cfg.m, mech.delta)
@@ -180,7 +181,7 @@ def test_campaign_rows_equal_per_trial_recomputation_at_default_block():
 def test_block_path_checks_the_cap_it_did_not_set(n, m, c):
     # the invariant re-derives the cap; one below the mechanism's must fail.
     # With one job no trial can bind, so the check is on the block's own
-    # schedules: the scalar fallback must not even run.
+    # schedules: no trial's stage may even be solved alone.
     cfg = config(mechanism=MechanismConfig("bounded-overload", c=c), n=n, m=m, trials=40,
                  reference="none")
     true_cap = campaign.overload_cap(n, m, c)
@@ -191,7 +192,7 @@ def test_block_path_checks_the_cap_it_did_not_set(n, m, c):
         )
         if n == 1:
             stack.enter_context(
-                mock.patch.object(campaign, "run_mechanism", side_effect=AssertionError)
+                mock.patch.object(mechanisms, "solve_min_work", side_effect=AssertionError)
             )
         with pytest.raises(campaign.InvariantViolation, match="overload cap"):
             run_campaign(cfg)
@@ -568,4 +569,16 @@ def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_bounds_refuses_a_bad_delta_before_drawing(capsys):
+    # a bad delta costs no Monte Carlo work: the estimators must not even run
+    with mock.patch.object(cli, "expected_worst_best", side_effect=AssertionError):
+        with pytest.raises(SystemExit) as exc:
+            entrypoint(["bounds", "--delta", "2", "--m", "16", "--trials", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "(0, 1]" in captured.err
     assert captured.err.count("\n") == 1

@@ -63,3 +63,29 @@ def test_optbounds_imports_only_distributions():
 @pytest.mark.parametrize("upper", ["campaign", "cli"])
 def test_checks_imports_no_layer_above_it(upper):
     assert upper not in schedmech_imports("checks")
+
+
+def called_names(module: str) -> set[str]:
+    """The names ``module``'s source calls, as ``f(...)`` or ``x.f(...)``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                found.add(func.id)
+            elif isinstance(func, ast.Attribute):
+                found.add(func.attr)
+    return found
+
+
+def test_the_call_parser_sees_plain_and_attribute_calls():
+    assert {"greedy_makespans", "bincount"} <= called_names("campaign")
+
+
+# ``mechanisms.place`` is the one engine that runs a mechanism's stages;
+# the campaign and the checks schedule through it, not around it.
+@pytest.mark.parametrize("module", ["campaign", "checks"])
+def test_campaign_and_checks_schedule_only_through_place(module):
+    bypasses = {"argmin_assignment", "run_mechanism", "run_sieve", "sample_instance", "Instance"}
+    assert called_names(module) & bypasses == set()

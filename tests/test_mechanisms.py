@@ -38,7 +38,7 @@ from schedmech.mechanisms import (
     sample_geometric_rank,
 )
 
-from scalar_oracles import last_entry_rank_by_solve
+from scalar_oracles import last_entry_rank_by_solve, staged_assignment
 
 SPEC = Uniform(0.0, 1000.0)
 
@@ -185,7 +185,7 @@ def test_stage_payments_equal_resolved_and_enumerated_pivots(
         schedule = solve_min_work(inst.runtimes, rc)
     except InfeasibleError:
         return  # no stage to pay
-    stage = _Stage(np.arange(n), inst.runtimes, rc)
+    stage = _Stage(np.arange(n), inst.runtimes, rc, schedule)
     try:
         resolved = pivot_oracle(inst, rc, schedule, solve=solve_min_work)
     except InfeasibleError as exc:
@@ -206,8 +206,8 @@ def test_stage_payments_survive_zero_cost_cycles():
     # can point 0 -> 1 -> 0, and machine 2's pivot then never finds slack.
     inst = make_instance([[1, 1, 10], [10, 10, 10], [1, 1, 1], [1, 10, 1]])
     rc = RangeConstraint(cap=1, reserve=1.0)
-    stage = _Stage(np.arange(4), inst.runtimes, rc)
-    stage.schedule = schedule_from_assignment(inst.runtimes, np.array([0, -1, 1, 2]))
+    schedule = schedule_from_assignment(inst.runtimes, np.array([0, -1, 1, 2]))
+    stage = _Stage(np.arange(4), inst.runtimes, rc, schedule)
     assert schedule_objective(stage.schedule, rc) == schedule_objective(
         brute_force_min_work(inst.runtimes, rc), rc
     )
@@ -612,6 +612,30 @@ def test_mechanisms_build_no_instance_beyond_the_callers(monkeypatch):
     assert last_entry_rank(crowded, 1.1, 0) == 2
     assert len(solves) == 1
     assert built == []
+
+
+# c = 1.1 binds the bounded-overload cap in most draws, c = 1.5 in some;
+# beta = 0 leaves every job to the overload stage, 1e9 none.
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("minimum-work", "bounded-overload", "sieve", "sieve-bounded-overload")),
+    c=st.sampled_from([1.1, 1.5]),
+    beta=st.sampled_from([0.0, 0.5, 1e9]),
+    n=st.integers(1, 7),
+    m=st.integers(2, 5),
+    dist=st.sampled_from([Exponential(1.0), TwoPoint(0.2, 1.0, 0.5)]),
+    seed=st.integers(0, 2**31),
+)
+def test_run_mechanism_places_jobs_as_the_stage_by_stage_oracle(kind, c, beta, n, m, dist, seed):
+    config = MechanismConfig(
+        kind,
+        c=c,
+        beta=beta if kind in ("sieve", "sieve-bounded-overload") else None,
+        delta=0.5 if kind == "sieve-bounded-overload" else None,
+    )
+    inst = sample_instance([dist] * n, m, np.random.default_rng(seed))
+    outcome = run_mechanism(config, inst, compute_payments=False)
+    assert outcome.schedule.assignment.tolist() == staged_assignment(config, inst.runtimes).tolist()
 
 
 def test_run_mechanism_dispatch_and_validation():
