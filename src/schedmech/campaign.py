@@ -126,6 +126,8 @@ class ExperimentConfig:
             raise ValueError("master seed must be a nonnegative integer")
         if self.reference not in REFERENCES:
             raise ValueError(f"unknown reference {self.reference!r}")
+        if self.paired and self.reference == "none":
+            raise ValueError("a paired campaign needs a reference bound to pair with")
         if isinstance(self.dist, tuple) and len(self.dist) != self.n:
             raise ValueError("per-job spec list must have length n")
         if self.mechanism.uses_reserve and isinstance(self.dist, tuple):

@@ -281,14 +281,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint(argv=None) -> None:
-    """Console-script entry: bad input exits 2 and a failed invariant exits
-    3, each with a one-line message on stderr instead of a traceback."""
+    """Console-script entry: bad input or an unwritable ``--out`` exits 2 and
+    a failed invariant exits 3, each with a one-line message on stderr
+    instead of a traceback."""
     try:
         sys.exit(main(argv))
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (ValueError, PaymentInfeasibleError) as exc:  # InfeasibleError included
+    except (ValueError, PaymentInfeasibleError, OSError) as exc:  # InfeasibleError included
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
 

@@ -14,14 +14,16 @@ built from exact total-work minimizers over fixed outcome ranges:
   sieve runs first, then bounded overload schedules its leftovers on the
   second set.
 
-Each minimizer is a stage: a job subset, its runtime rows (a plain matrix;
-only the caller's ``Instance`` is validated) and its range, with the machines
-outside the stage excluded from the range.  The first three mechanisms are
-one stage; the combined one chains two, the second on the first's leftovers.
-:func:`place` is the one engine that runs the stages, on a stack of runtime
-matrices; the runner, the payments and the audit read one matrix's stages
-from :func:`_stages`.  Payments are stage-local: a machine's pivot removes it
-from its own stage only.
+Each minimizer is a stage.  The first three mechanisms are one stage; the
+combined one chains two, the second on the first's leftovers.  :func:`place`
+is the one engine that runs the stages, on a stack of runtime matrices.  The
+runner and the audit read one matrix's stages from :func:`_stages`, each as
+three plain values ``(jobs, range, assignment)``: the job indices, the
+``RangeConstraint`` (the machines outside the stage excluded from it) and the
+stage's own assignment of those jobs, ``UNSCHEDULED`` where it passed a job
+on.  Runtime rows are plain matrices; only the caller's ``Instance`` is
+validated.  Payments are stage-local: a machine's pivot removes it from its
+own stage only.
 
 A machine's pivot is the stage's optimum with the machine excluded from
 the range, not a fake infinite report.  It is not re-solved:
@@ -44,7 +46,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -160,29 +161,6 @@ def partition_sizes(m: int, delta: float) -> tuple[int, int]:
     return m1, m2
 
 
-@dataclass(eq=False)
-class _Stage:
-    """One exact total-work minimization inside a mechanism, as run by :func:`place`.
-
-    ``runtimes`` holds the rows of ``jobs`` (indices into the full instance)
-    and ``schedule`` their placement; machines outside the stage are in
-    ``rc.excluded``.  The payments are computed on first access.
-    """
-
-    jobs: np.ndarray
-    runtimes: np.ndarray
-    rc: RangeConstraint
-    schedule: Schedule
-
-    @cached_property
-    def machines(self) -> np.ndarray:
-        return available_machines(self.runtimes.shape[1], self.rc)
-
-    @cached_property
-    def payments(self) -> np.ndarray:
-        return _stage_payments(self)
-
-
 def stage_ranges(config: MechanismConfig, m: int) -> list[Callable[[int], RangeConstraint]]:
     """The mechanism's stages on m machines in run order, each a rule from the
     number of jobs it receives (all of them for the first, the sieve's
@@ -245,19 +223,22 @@ def place(config: MechanismConfig, runtimes: np.ndarray) -> tuple[np.ndarray, ..
     return assignment.reshape(trials, n), decided.reshape(trials, n), binding
 
 
-def _stages(config: MechanismConfig, runtimes: np.ndarray) -> tuple[np.ndarray, list[_Stage]]:
+def _stages(
+    config: MechanismConfig, runtimes: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, RangeConstraint, np.ndarray]]]:
     """One ``(n, m)`` matrix's assignment from :func:`place`, and the stages
-    that received a job, each with its jobs, rows, range and schedule."""
+    that received a job, each as ``(jobs, rc, mine)``: its job indices, its
+    range and its own assignment of those jobs, ``UNSCHEDULED`` where it
+    passed a job on."""
     (assignment,), (decided,), _ = place(config, runtimes[None])
-    parts = []
+    stages = []
     for index, rule in enumerate(stage_ranges(config, runtimes.shape[1])):
         jobs = np.flatnonzero(decided >= index)
         if not jobs.size:
             break
-        rows = runtimes[jobs] if index else runtimes
         mine = np.where(decided[jobs] == index, assignment[jobs], UNSCHEDULED)
-        parts.append(_Stage(jobs, rows, rule(jobs.size), schedule_from_assignment(rows, mine)))
-    return assignment, parts
+        stages.append((jobs, rule(jobs.size), mine))
+    return assignment, stages
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +250,14 @@ class Outcome:
     payments: np.ndarray | None
 
 
-def _stage_payments(stage: _Stage) -> np.ndarray:
-    """Each machine's Clarke payment within the stage, from the stage optimum.
+def _stage_payments(
+    runtimes: np.ndarray,
+    rc: RangeConstraint,
+    assignment: np.ndarray,
+    schedule: Schedule | None = None,
+) -> np.ndarray:
+    """Each machine's Clarke payment within a stage, from the stage optimum
+    ``assignment`` of the stage's runtime rows within its range ``rc``.
 
     Machine i is paid ``OPT₋ᵢ − (OPT − wᵢ)``: the least extra cost of placing
     its jobs elsewhere once it is removed, every other job starting where the
@@ -287,32 +274,37 @@ def _stage_payments(stage: _Stage) -> np.ndarray:
     every machine, and it is the minimum-work payment of Nisan and Ronen.
     Idle machines and machines outside the stage are paid 0.
 
-    Raises :class:`InfeasibleError` when removing a machine leaves no
-    feasible schedule; every machine of such a stage is loaded.
+    Raises :class:`PaymentInfeasibleError` carrying ``schedule`` when
+    removing a machine leaves no feasible schedule.  Then k − 1 of the
+    stage's k machines cannot hold its n jobs, so all k are loaded, and the
+    error names the first.
     """
-    own = stage.schedule
-    machines = stage.machines
-    runtimes = stage.runtimes
-    rc = stage.rc
     n, m = runtimes.shape
-    check_capacity(n, machines.size - 1, rc)
+    machines = available_machines(m, rc)
+    try:
+        check_capacity(n, machines.size - 1, rc)
+    except InfeasibleError as exc:
+        raise PaymentInfeasibleError(
+            f"pivot for machine {machines[0]} is infeasible: {exc}", schedule=schedule
+        ) from exc
+    placed = assignment != UNSCHEDULED
+    loads = np.bincount(assignment[placed], minlength=m)
     cost = runtimes[:, machines]
     if rc.reserve is not None:
         cost = np.hstack([cost, np.full((n, 1), rc.reserve)])
     width = cost.shape[1]
     jobs = np.arange(n)
-    placed = own.assignment != UNSCHEDULED
-    col = np.where(placed, np.searchsorted(machines, own.assignment), machines.size)
+    col = np.where(placed, np.searchsorted(machines, assignment), machines.size)
     room = np.full(width, np.inf)
     if rc.cap is not None:
-        room[: machines.size] = rc.cap - own.loads[machines]
+        room[: machines.size] = rc.cap - loads[machines]
     # the first pass: every freed job at its best other column
     other = cost.copy()
     other[jobs, col] = np.inf
     best = other.argmin(axis=1)
     need = np.bincount(col * width + best, minlength=width * width).reshape(width, width)
     paid = np.bincount(col, weights=other[jobs, best], minlength=width)
-    loaded = own.loads[machines] > 0
+    loaded = loads[machines] > 0
     walks = np.flatnonzero(loaded & ~(need[: machines.size] <= room).all(axis=1))
     if walks.size:
         # moves[k, k'] is the cheapest change of runtime from moving one job
@@ -408,35 +400,15 @@ def _room_costs(moves: np.ndarray, room: np.ndarray, tol: float) -> tuple[np.nda
     return dist, pred
 
 
-def _clarke_payments(
-    stage: _Stage, schedule: Schedule | None = None, machine: int | None = None
-) -> np.ndarray:
-    """The stage's :func:`_stage_payments`, computed once per stage.
-
-    An infeasible pivot raises :class:`PaymentInfeasibleError` carrying
-    ``schedule``, for ``machine`` or else for the stage's first loaded
-    machine.
-    """
-    try:
-        return stage.payments
-    except InfeasibleError as exc:
-        if machine is None:
-            own = stage.schedule
-            machine = int(stage.machines[own.loads[stage.machines] > 0][0])
-        raise PaymentInfeasibleError(
-            f"pivot for machine {machine} is infeasible: {exc}", schedule=schedule
-        ) from exc
-
-
 def run_mechanism(config: MechanismConfig, inst: Instance, compute_payments: bool = True) -> Outcome:
     """Run the mechanism's stages; each job is placed by its last stage."""
-    assignment, parts = _stages(config, inst.runtimes)
+    assignment, stages = _stages(config, inst.runtimes)
     schedule = schedule_from_assignment(inst.runtimes, assignment)
     payments = None
     if compute_payments:
         payments = np.zeros(inst.m)
-        for stage in parts:
-            payments += _clarke_payments(stage, schedule)
+        for jobs, rc, mine in stages:
+            payments += _stage_payments(inst.runtimes[jobs], rc, mine, schedule)
     return Outcome(schedule=schedule, payments=payments)
 
 
@@ -626,27 +598,25 @@ def ic_audit(config: MechanismConfig, inst: Instance) -> list[IcViolation]:
     it does not depend on the machine's report.
     """
     violations: list[IcViolation] = []
-    _, parts = _stages(config, inst.runtimes)
-    for i in range(inst.m):
-        stage = next((s for s in parts if i not in s.rc.excluded), None)
-        if stage is None:
-            continue  # the sieve left no job for the overload stage
-        rc, stage_true = stage.rc, stage.runtimes
-        own = stage.schedule
-        pivot_objective = (
-            schedule_objective(own, rc) - own.works[i] + _clarke_payments(stage, machine=i)[i]
-        )
+    _, stages = _stages(config, inst.runtimes)
+    for jobs, rc, mine in stages:
+        stage_true = inst.runtimes[jobs]
+        own = schedule_from_assignment(stage_true, mine)
+        objective = schedule_objective(own, rc)
+        payments = _stage_payments(stage_true, rc, mine)
+        for i in available_machines(inst.m, rc).tolist():
+            pivot_objective = objective - own.works[i] + payments[i]
 
-        def utility(sched: Schedule) -> float:
-            payment = pivot_objective - (schedule_objective(sched, rc) - sched.works[i])
-            mine = sched.assignment == i
-            return float(payment - stage_true[mine, i].sum())
+            def utility(sched: Schedule) -> float:
+                payment = pivot_objective - (schedule_objective(sched, rc) - sched.works[i])
+                held = sched.assignment == i
+                return float(payment - stage_true[held, i].sum())
 
-        truthful = utility(own)
-        for label, column in misreport_columns(inst.runtimes[:, i].copy()):
-            reported = stage_true.copy()
-            reported[:, i] = column[stage.jobs]
-            deviant = utility(solve_min_work(reported, rc))
-            if deviant - truthful > GAIN_TOL:
-                violations.append(IcViolation(i, label, truthful, deviant))
+            truthful = utility(own)
+            for label, column in misreport_columns(inst.runtimes[:, i].copy()):
+                reported = stage_true.copy()
+                reported[:, i] = column[jobs]
+                deviant = utility(solve_min_work(reported, rc))
+                if deviant - truthful > GAIN_TOL:
+                    violations.append(IcViolation(i, label, truthful, deviant))
     return violations

@@ -55,6 +55,8 @@ class OptEstimate:
 
 
 def _spec_list(specs, n: int) -> list[DistributionSpec]:
+    if n < 1:
+        raise ValueError("need n >= 1")
     if isinstance(specs, DistributionSpec):
         return [specs] * n
     specs = list(specs)

@@ -560,6 +560,8 @@ def test_cli_dist_parsing_matches_api():
         (["simulate", "--dist", "uniform:0,inf", "--trials", "2"], "uniform requires"),
         (["bounds", "--delta", "2", "--m", "16", "--trials", "2"], "(0, 1]"),
         (["bounds", "--delta", "nan", "--trials", "2"], "(0, 1]"),
+        (["bounds", "--n", "0", "--trials", "10"], "need n >= 1"),
+        (["simulate", "--paired", "--trials", "2"], "needs a reference"),
     ],
 )
 def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):
@@ -570,6 +572,21 @@ def test_cli_bad_input_exits_with_one_line_error(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate", "--trials", "2"], ["verify", "--lemma", "mhr-scaling"]]
+)
+def test_cli_out_into_a_missing_directory_exits_with_one_line_error(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    with pytest.raises(SystemExit) as exc:
+        entrypoint(command + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(out) in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_bounds_refuses_a_bad_delta_before_drawing(capsys):

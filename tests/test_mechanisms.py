@@ -21,8 +21,7 @@ from schedmech.instances import Instance, rank_runtime, sample_instance
 from schedmech.mechanisms import (
     MechanismConfig,
     PaymentInfeasibleError,
-    _clarke_payments,
-    _Stage,
+    _stage_payments,
     default_partition,
     derive_reserve,
     geometric_rank_pmf,
@@ -185,17 +184,16 @@ def test_stage_payments_equal_resolved_and_enumerated_pivots(
         schedule = solve_min_work(inst.runtimes, rc)
     except InfeasibleError:
         return  # no stage to pay
-    stage = _Stage(np.arange(n), inst.runtimes, rc, schedule)
     try:
         resolved = pivot_oracle(inst, rc, schedule, solve=solve_min_work)
     except InfeasibleError as exc:
         first = next(i for i in range(m) if schedule.loads[i])
         with pytest.raises(PaymentInfeasibleError) as err:
-            _clarke_payments(stage, schedule)
+            _stage_payments(inst.runtimes, rc, schedule.assignment, schedule)
         assert str(err.value) == f"pivot for machine {first} is infeasible: {exc}"
         assert err.value.schedule is schedule
         return
-    payments = _clarke_payments(stage, schedule)
+    payments = _stage_payments(inst.runtimes, rc, schedule.assignment, schedule)
     assert np.allclose(payments, resolved, rtol=0, atol=1e-9)
     assert np.allclose(payments, pivot_oracle(inst, rc, schedule), rtol=0, atol=1e-9)
 
@@ -207,14 +205,16 @@ def test_stage_payments_survive_zero_cost_cycles():
     inst = make_instance([[1, 1, 10], [10, 10, 10], [1, 1, 1], [1, 10, 1]])
     rc = RangeConstraint(cap=1, reserve=1.0)
     schedule = schedule_from_assignment(inst.runtimes, np.array([0, -1, 1, 2]))
-    stage = _Stage(np.arange(4), inst.runtimes, rc, schedule)
-    assert schedule_objective(stage.schedule, rc) == schedule_objective(
+    assert schedule_objective(schedule, rc) == schedule_objective(
         brute_force_min_work(inst.runtimes, rc), rc
     )
-    expected = pivot_oracle(inst, rc, stage.schedule)
+    expected = pivot_oracle(inst, rc, schedule)
     # a looping walk never returns: fail after a while instead of hanging
     result = []
-    worker = threading.Thread(target=lambda: result.append(_clarke_payments(stage)), daemon=True)
+    worker = threading.Thread(
+        target=lambda: result.append(_stage_payments(inst.runtimes, rc, schedule.assignment)),
+        daemon=True,
+    )
     worker.start()
     worker.join(timeout=10)
     assert result, "the pivots did not finish"
@@ -580,6 +580,43 @@ def test_audit_refuses_configs_with_undefined_payments():
     assert overload_cap(7, 3, 1.2) * 2 < 7
     with pytest.raises(PaymentInfeasibleError):
         ic_audit(MechanismConfig("bounded-overload", c=1.2), inst)
+
+
+# m1 = 2, m2 = 1: the sieve (beta 2) keeps jobs 0 and 3 on machine 0 and
+# passes jobs 1 and 2 to machine 2, the overload stage's only machine, whose
+# pivot then leaves them no machine
+PASSED_ON = [[1.0, 5.0, 5.0], [9.0, 3.0, 1.0], [9.0, 9.0, 4.0], [1.0, 2.0, 2.0]]
+COMBINED = MechanismConfig("sieve-bounded-overload", c=2.0, beta=2.0, delta=0.5)
+
+
+@pytest.mark.parametrize("config, stages", [(MechanismConfig("minimum-work"), 1), (COMBINED, 2)])
+@pytest.mark.parametrize("run", [run_mechanism, ic_audit])
+def test_payments_are_computed_once_per_stage(run, config, stages, monkeypatch):
+    calls = []
+    pay = mechanisms._stage_payments
+    monkeypatch.setattr(
+        mechanisms, "_stage_payments", lambda *args: calls.append(args) or pay(*args)
+    )
+    inst = make_instance(PASSED_ON)
+    if config is COMBINED:
+        with pytest.raises(PaymentInfeasibleError):
+            run(config, inst)
+    else:
+        run(config, inst)
+    assert len(calls) == stages
+
+
+def test_audit_and_run_name_the_same_infeasible_pivot():
+    inst = make_instance(PASSED_ON)
+    message = "pivot for machine 2 is infeasible: no machines available"
+    with pytest.raises(PaymentInfeasibleError) as audited:
+        ic_audit(COMBINED, inst)
+    with pytest.raises(PaymentInfeasibleError) as ran:
+        run_mechanism(COMBINED, inst)
+    assert str(audited.value) == str(ran.value) == message
+    assert audited.value.schedule is None
+    assert ran.value.schedule.assignment.tolist() == [0, 2, 2, 0]
+    assert ran.value.schedule.loads.tolist() == [2, 0, 2]
 
 
 def test_mechanisms_build_no_instance_beyond_the_callers(monkeypatch):
